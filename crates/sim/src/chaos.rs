@@ -14,8 +14,7 @@
 //! decision is taken, so a plan whose probabilities are all zero perturbs
 //! nothing and yields bit-identical executions to a run with no plan at all.
 
-use dbac_graph::NodeId;
-use std::collections::HashMap;
+use dbac_graph::{FastHashMap, NodeId};
 
 /// One fault behaviour on one directed edge.
 ///
@@ -243,9 +242,12 @@ fn unit_f64(word: u64) -> f64 {
 /// `k` in send order. Each runtime keeps its own instance(s); because an
 /// edge has exactly one sender, per-sender counting in the threaded runtime
 /// agrees with the simulator's global counting.
+///
+/// Keys are runtime node-index pairs, which no Byzantine sender can
+/// choose, so the table uses the fast non-cryptographic hasher.
 #[derive(Clone, Debug, Default)]
 pub struct EdgeCounters {
-    counts: HashMap<(usize, usize), u64>,
+    counts: FastHashMap<(usize, usize), u64>,
 }
 
 impl EdgeCounters {

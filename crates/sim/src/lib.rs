@@ -12,6 +12,12 @@
 //!   exactly what the Appendix-B impossibility construction needs). Runs
 //!   are reproducible bit-for-bit from a seed, and can record a
 //!   [`trace::Trace`] for the indistinguishability replay experiment.
+//!   Pending deliveries sit in a calendar queue: a ring of 32 per-tick
+//!   FIFO buckets for events due within 32 ticks of the last delivery,
+//!   and a binary heap for everything later. Delivery follows
+//!   `(delivery time, enqueue sequence)` exactly as a single heap would,
+//!   at O(1) per event for delays the ring covers (`[1, 15]` random
+//!   delays plus an 8-tick reorder window).
 //! * [`threaded`] — a **thread-per-node runtime** over crossbeam channels,
 //!   demonstrating that the protocol really is event-driven and
 //!   order-insensitive under true OS-level concurrency.
@@ -69,6 +75,7 @@ pub mod chaos;
 pub mod error;
 pub mod net;
 pub mod process;
+mod queue;
 pub mod scheduler;
 pub mod sim;
 pub mod stats;

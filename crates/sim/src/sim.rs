@@ -3,13 +3,12 @@
 use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
 use crate::process::{Adversary, Context, Process};
+use crate::queue::EventQueue;
 use crate::scheduler::DeliveryPolicy;
 use crate::stats::{StatsHandle, StatsRegistry};
 use crate::time::VirtualTime;
 use crate::trace::Trace;
 use dbac_graph::{Digraph, NodeId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Counters describing a finished (or aborted) run.
@@ -55,44 +54,30 @@ enum Actor<P: Process> {
 /// with a deterministic [`DeliveryPolicy`] the entire execution — including
 /// every adversarial interleaving decision — is a pure function of the
 /// configuration.
+///
+/// Event queue: a calendar ring of 32 per-tick FIFO buckets covering the
+/// ticks from the last delivery onward, plus a binary heap for events
+/// due later (long random delays, [`EdgeDelay`] overrides,
+/// [`VirtualTime::FAR_FUTURE`]). A bucket is already in enqueue order,
+/// so each delivery takes the smaller of the ring's earliest head and the
+/// heap's minimum — the same `(delivery time, enqueue sequence)` order a
+/// single heap gives, at O(1) per event for the common short delays. The
+/// width covers `[1, 15]`-tick random delays plus an 8-tick reorder
+/// window and keeps the bucket occupancy mask in one 32-bit word.
+///
+/// [`EdgeDelay`]: crate::scheduler::EdgeDelay
 pub struct Simulation<P: Process> {
     graph: Arc<Digraph>,
     actors: Vec<Option<Actor<P>>>,
     policy: Box<dyn DeliveryPolicy + Send>,
-    queue: BinaryHeap<Reverse<QueuedEvent<P::Message>>>,
+    queue: EventQueue<P::Message>,
     now: VirtualTime,
-    seq: u64,
     stats: SimStats,
     max_events: u64,
     horizon: VirtualTime,
     trace: Option<Trace<P::Message>>,
     chaos: Option<(LinkFaultPlan, EdgeCounters)>,
     registry: Option<(Arc<StatsRegistry>, StatsHandle)>,
-}
-
-struct QueuedEvent<M> {
-    at: VirtualTime,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-impl<M> PartialEq for QueuedEvent<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for QueuedEvent<M> {}
-impl<M> PartialOrd for QueuedEvent<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueuedEvent<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 impl<P: Process> Simulation<P> {
@@ -104,9 +89,8 @@ impl<P: Process> Simulation<P> {
             graph,
             actors: (0..n).map(|_| None).collect(),
             policy,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             now: VirtualTime::ZERO,
-            seq: 0,
             stats: SimStats::default(),
             max_events: 50_000_000,
             horizon: VirtualTime::FAR_FUTURE,
@@ -231,11 +215,7 @@ impl<P: Process> Simulation<P> {
             self.dispatch(v, &mut ctx);
         }
         // Delivery loop.
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > self.horizon {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+        while let Some(ev) = self.queue.pop_due(self.horizon) {
             if self.stats.messages_delivered >= self.max_events {
                 return Err(SimError::EventBudgetExhausted {
                     delivered: self.stats.messages_delivered,
@@ -307,18 +287,10 @@ impl<P: Process> Simulation<P> {
             for _ in 1..decision.copies {
                 self.stats.messages_duplicated += 1;
                 let at = self.arrival(from, to, decision.extra_delay);
-                self.seq += 1;
-                self.queue.push(Reverse(QueuedEvent {
-                    at,
-                    seq: self.seq,
-                    from,
-                    to,
-                    msg: msg.clone(),
-                }));
+                self.queue.push(at, from, to, msg.clone());
             }
             let at = self.arrival(from, to, decision.extra_delay);
-            self.seq += 1;
-            self.queue.push(Reverse(QueuedEvent { at, seq: self.seq, from, to, msg }));
+            self.queue.push(at, from, to, msg);
         }
     }
 
@@ -543,6 +515,96 @@ mod tests {
             .fault(id(1), id(2), LinkFault::Duplicate { prob: 0.0 })
             .fault(id(2), id(3), LinkFault::Reorder { window: 0 });
         assert_eq!(run(None), run(Some(zero)));
+    }
+
+    /// Passes each token on for `hops` deliveries, one out-neighbour at a
+    /// time, so a run keeps the queue busy over many ticks and wraps the
+    /// ring repeatedly (unlike [`Gossip`], which only sends at start).
+    struct Relay {
+        hops: u64,
+    }
+
+    impl Process for Relay {
+        type Message = u64;
+        fn on_start(&mut self, ctx: &mut Context<u64>) {
+            ctx.broadcast(&(ctx.me().index() as u64 * 1_000));
+        }
+        fn on_message(&mut self, ctx: &mut Context<u64>, from: NodeId, msg: u64) {
+            if msg % 1_000 < self.hops {
+                let out = ctx.out_neighbors();
+                let to = out.iter().nth((msg as usize + from.index()) % out.len()).unwrap();
+                ctx.send(to, msg + 1);
+            }
+        }
+    }
+
+    /// Order-sensitive digest of a delivery trace and its run's counters.
+    fn digest(trace: &Trace<u64>, stats: &SimStats) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |word: u64| h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        for e in trace.events() {
+            eat(e.at.ticks());
+            eat(e.from.index() as u64);
+            eat(e.to.index() as u64);
+            eat(e.msg);
+        }
+        for word in [
+            stats.messages_sent,
+            stats.messages_delivered,
+            stats.messages_undelivered,
+            stats.messages_duplicated,
+            stats.final_time.ticks(),
+        ] {
+            eat(word);
+        }
+        h
+    }
+
+    fn relay_sim(n: usize, policy: Box<dyn DeliveryPolicy + Send>) -> Simulation<Relay> {
+        let g = Arc::new(generators::clique(n));
+        let mut sim = Simulation::new(g, policy);
+        for i in 0..n {
+            sim.set_honest(id(i), Relay { hops: 40 });
+        }
+        sim.record_trace();
+        sim
+    }
+
+    /// Golden delivery order under seeded random delays (some past the
+    /// ring width) with duplicated and reordered links. The digest was
+    /// recorded with a plain binary heap ordered by `(at, seq)`; any
+    /// change to that order changes it.
+    #[test]
+    fn golden_random_delay_chaos_order() {
+        use crate::chaos::{LinkFault, LinkFaultPlan};
+        let mut sim = relay_sim(8, Box::new(RandomDelay::new(2024, 1, 40)));
+        let mut plan = LinkFaultPlan::new(77);
+        for u in 0..8 {
+            plan = plan.fault(id(u), id((u + 1) % 8), LinkFault::Duplicate { prob: 0.3 }).fault(
+                id(u),
+                id((u + 3) % 8),
+                LinkFault::Reorder { window: 8 },
+            );
+        }
+        sim.set_link_faults(plan);
+        let stats = sim.run().unwrap();
+        assert!(stats.messages_duplicated > 0);
+        assert_eq!(digest(sim.trace().unwrap(), &stats), 436_872_023_783_818_403);
+    }
+
+    /// Golden delivery order with per-edge overrides: one edge delayed to
+    /// `FAR_FUTURE`, one by more than the ring width, and a horizon that
+    /// leaves messages undelivered.
+    #[test]
+    fn golden_edge_delay_horizon_order() {
+        let mut policy = EdgeDelay::new(Box::new(RandomDelay::new(5, 1, 15)));
+        policy.delay_edge(id(0), id(1), VirtualTime::FAR_FUTURE.ticks());
+        policy.delay_edge(id(2), id(3), 100);
+        let mut sim = relay_sim(6, Box::new(policy));
+        sim.set_horizon(VirtualTime::new(300));
+        let stats = sim.run().unwrap();
+        assert!(stats.messages_undelivered > 0);
+        assert_eq!(digest(sim.trace().unwrap(), &stats), 8_997_002_762_011_270_694);
     }
 
     #[test]
