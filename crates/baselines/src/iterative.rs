@@ -12,32 +12,10 @@
 //! (under the `f`-total malicious model W-MSR with parameter `f` is
 //! correct iff the network is `(f+1, f+1)`-robust) now lives in
 //! [`dbac_conditions::robustness`], next to the paper's own conditions
-//! and the polynomial certificate machinery; deprecated re-export shims
-//! remain here for one release cycle.
+//! and the polynomial certificate machinery.
 
 use dbac_graph::{Digraph, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
-
-/// Moved: see [`dbac_conditions::robustness::r_reachable_subset`].
-#[deprecated(note = "moved to `dbac_conditions::robustness::r_reachable_subset`")]
-#[must_use]
-pub fn r_reachable_subset(g: &Digraph, s: NodeSet, r: usize) -> NodeSet {
-    dbac_conditions::robustness::r_reachable_subset(g, s, r)
-}
-
-/// Moved: see [`dbac_conditions::robustness::is_r_s_robust`].
-#[deprecated(note = "moved to `dbac_conditions::robustness::is_r_s_robust`")]
-#[must_use]
-pub fn is_r_s_robust(g: &Digraph, r: usize, s: usize) -> bool {
-    dbac_conditions::robustness::is_r_s_robust(g, r, s)
-}
-
-/// Moved: see [`dbac_conditions::robustness::robustness_violation`].
-#[deprecated(note = "moved to `dbac_conditions::robustness::robustness_violation`")]
-#[must_use]
-pub fn robustness_violation(g: &Digraph, r: usize, s: usize) -> Option<(NodeSet, NodeSet)> {
-    dbac_conditions::robustness::robustness_violation(g, r, s)
-}
 
 /// Behaviour of a malicious node in the iterative protocol (the `f`-total
 /// *malicious* model: a faulty node sends the same wrong value to all of
@@ -174,19 +152,6 @@ mod tests {
 
     fn id(i: usize) -> NodeId {
         NodeId::new(i)
-    }
-
-    #[test]
-    fn deprecated_shims_still_answer() {
-        // One-cycle compatibility: the shims delegate to dbac-conditions.
-        #[allow(deprecated)]
-        {
-            let g = generators::clique(4);
-            let s: NodeSet = [id(0), id(1)].into_iter().collect();
-            assert_eq!(super::r_reachable_subset(&g, s, 2), s);
-            assert!(super::is_r_s_robust(&g, 2, 2));
-            assert!(super::robustness_violation(&g, 2, 2).is_none());
-        }
     }
 
     #[test]

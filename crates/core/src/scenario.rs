@@ -1189,7 +1189,7 @@ pub type Adversaries<M> = Vec<(NodeId, Box<dyn Adversary<M> + Send>)>;
 
 /// What [`drive`] hands back to a protocol implementation: runtime
 /// counters, the optional delivery trace, and the stragglers of a
-/// gracefully-degraded threaded run.
+/// gracefully-degraded threaded or network run.
 #[derive(Clone, Debug, Default)]
 pub struct DriveReport {
     /// The final merged snapshot of the run's [`StatsRegistry`].
@@ -1197,13 +1197,17 @@ pub struct DriveReport {
     /// Recorded delivery trace ([`Runtime::Sim`] only, when requested).
     pub trace: Option<TraceSummary>,
     /// Honest nodes that failed to complete, with typed reasons
-    /// ([`Runtime::Threaded`] only — the simulator runs to quiescence).
+    /// ([`Runtime::Threaded`] and [`Runtime::Net`] only — the simulator
+    /// runs to quiescence).
     pub incomplete: Vec<Incomplete>,
 }
 
 /// Drives a fully-assigned process fleet on the scenario's runtime — the
-/// single place in the workspace that constructs [`Simulation`] or
-/// [`Threaded`]. Protocol implementations hand it the run's stats
+/// single place in the workspace that constructs [`Simulation`],
+/// [`Threaded`] or [`Net`], apart from the Appendix-B splice executor in
+/// `dbac-bench` (`impossibility.rs`), which builds a [`Simulation`]
+/// directly to record message-level traces below the scenario
+/// abstraction. Protocol implementations hand it the run's stats
 /// registry (from [`Scenario::resolve_stats`], so an externally attached
 /// registry is honored), one actor per node (honest processes plus boxed
 /// adversaries covering every fault slot) and an `extract` callback

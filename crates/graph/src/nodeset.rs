@@ -230,51 +230,6 @@ impl<const W: usize> WordSet<W> {
     pub fn from_words(words: [u64; W]) -> Self {
         WordSet(words)
     }
-
-    /// Returns the low 128 bits as a mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set contains a member with index ≥ 128 — the mask
-    /// cannot represent it.
-    #[deprecated(
-        since = "0.1.0",
-        note = "128-bit escape hatch from the u128 era; use words()/from_words(), \
-                rank_below(), or key maps by NodeSet directly"
-    )]
-    #[must_use]
-    pub fn bits(self) -> u128 {
-        assert!(
-            self.0.iter().skip(2).all(|&w| w == 0),
-            "NodeSet::bits: set {self} has members ≥ 128"
-        );
-        let lo = self.0.first().copied().unwrap_or(0) as u128;
-        let hi = if W > 1 { self.0[1] as u128 } else { 0 };
-        lo | hi << 64
-    }
-
-    /// Reconstructs a set from a raw 128-bit mask.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the width cannot hold 128 bits and `bits` has high bits
-    /// set.
-    #[deprecated(
-        since = "0.1.0",
-        note = "128-bit escape hatch from the u128 era; use from_words()"
-    )]
-    #[must_use]
-    pub fn from_bits(bits: u128) -> Self {
-        let mut s = Self::EMPTY;
-        s.0[0] = bits as u64;
-        let hi = (bits >> 64) as u64;
-        if W > 1 {
-            s.0[1] = hi;
-        } else {
-            assert!(hi == 0, "WordSet<1>::from_bits: mask has bits ≥ 64");
-        }
-        s
-    }
 }
 
 impl<const W: usize> Default for WordSet<W> {
@@ -659,20 +614,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn bits_round_trip() {
-        let s = ns(&[0, 64, 127]);
-        assert_eq!(NodeSet::from_bits(s.bits()), s);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "members ≥ 128")]
-    fn bits_rejects_members_past_128() {
-        let _ = ns(&[130]).bits();
-    }
-
-    #[test]
     fn words_round_trip_past_128() {
         let s = ns(&[0, 64, 127, 128, MAX_NODES - 1]);
         assert_eq!(NodeSet::from_words(*s.words()), s);
@@ -698,11 +639,13 @@ mod tests {
         // For sets within 128 bits the multi-word Ord must coincide with
         // the historical u128 comparison (sorted snapshots stay stable).
         let cases = [ns(&[0]), ns(&[1]), ns(&[0, 1]), ns(&[64]), ns(&[127]), ns(&[5, 127])];
+        let mask = |s: &NodeSet| {
+            let w = s.words();
+            u128::from(w[0]) | u128::from(w[1]) << 64
+        };
         for a in &cases {
             for b in &cases {
-                #[allow(deprecated)]
-                let expect = a.bits().cmp(&b.bits());
-                assert_eq!(a.cmp(b), expect, "{a} vs {b}");
+                assert_eq!(a.cmp(b), mask(a).cmp(&mask(b)), "{a} vs {b}");
             }
         }
         // Past 128 bits the order is still total and mask-numeric.

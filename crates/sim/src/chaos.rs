@@ -4,11 +4,11 @@
 //! models faults on *edges* — the lossy/duplicating/reordering links of
 //! Tseng–Vaidya's link-failure model (arXiv 1401.6615). A [`LinkFaultPlan`]
 //! is a seeded, per-edge fault schedule whose every decision is a **pure
-//! function** of `(plan seed, edge, per-edge message index)`. Both runtimes
-//! consult the same function, so the fate of the k-th message on edge
-//! `(u, v)` is identical under the discrete-event simulator and the
-//! thread-per-node runtime — the cross-runtime differential extends to
-//! chaos scenarios.
+//! function** of `(plan seed, edge, per-edge message index)`. All three
+//! runtimes consult it through the same send path (the private `Link`), so
+//! the fate of the k-th message on edge `(u, v)` is identical under the
+//! discrete-event simulator, the thread-per-node runtime and the network
+//! runtime — the cross-runtime differential extends to chaos scenarios.
 //!
 //! Statelessness is what buys determinism: no RNG stream is advanced when a
 //! decision is taken, so a plan whose probabilities are all zero perturbs
@@ -239,14 +239,14 @@ fn unit_f64(word: u64) -> f64 {
 }
 
 /// Per-edge message counters: assigns each send on `(from, to)` its index
-/// `k` in send order. Each runtime keeps its own instance(s); because an
-/// edge has exactly one sender, per-sender counting in the threaded runtime
+/// `k` in send order. Each `Link` keeps one; because an edge has exactly
+/// one sender, per-sender counting in the threaded and network runtimes
 /// agrees with the simulator's global counting.
 ///
 /// Keys are runtime node-index pairs, which no Byzantine sender can
 /// choose, so the table uses the fast non-cryptographic hasher.
 #[derive(Clone, Debug, Default)]
-pub struct EdgeCounters {
+pub(crate) struct EdgeCounters {
     counts: FastHashMap<(usize, usize), u64>,
 }
 

@@ -30,6 +30,12 @@
 //! seeded, per-edge fault schedule (drop / duplicate / reorder / corrupt /
 //! partition / omit) whose every decision is a pure function of the plan,
 //! so the fate of the k-th message on an edge is runtime-independent.
+//! They share one send path: every message is classified, judged by the
+//! plan and counted in the run's [`stats::StatsRegistry`] the same way,
+//! and each runtime adds only its own delivery step (the event queue, a
+//! channel, a framed byte stream). The registry is the only counter
+//! plane; [`sim::Simulation::run`] and [`threaded::ThreadedReport`] hand
+//! back its [`stats::StatsSnapshot`].
 //!
 //! All three drive the same [`process::Process`] state machines; Byzantine nodes
 //! implement [`process::Adversary`] and may send arbitrary well-typed
@@ -65,7 +71,7 @@
 //!     sim.set_honest(NodeId::new(v), Echo { heard: 0 });
 //! }
 //! let stats = sim.run().expect("quiesces");
-//! assert_eq!(stats.messages_delivered, 6);
+//! assert_eq!(stats.messages_delivered(), 6);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,6 +79,7 @@
 
 pub mod chaos;
 pub mod error;
+mod link;
 pub mod net;
 pub mod process;
 mod queue;
@@ -83,14 +90,14 @@ pub mod threaded;
 pub mod time;
 pub mod trace;
 
-pub use chaos::{EdgeCounters, LinkDecision, LinkFault, LinkFaultPlan};
+pub use chaos::{LinkDecision, LinkFault, LinkFaultPlan};
 pub use error::SimError;
 pub use net::codec::{WireError, WireMessage};
 pub use net::connection::TransportKind;
 pub use net::{Net, NetConfig};
 pub use process::{Adversary, Context, Process};
 pub use scheduler::DeliveryPolicy;
-pub use sim::{SimStats, Simulation};
+pub use sim::Simulation;
 pub use stats::{
     ClassCounters, Coverage, MsgClass, NodeCounters, ProtocolCounters, StatsHandle, StatsRegistry,
     StatsSnapshot, TransportSnapshot,

@@ -18,15 +18,16 @@
 //!   node starts;
 //! * one **reader thread** per connection end, pumping frames into the
 //!   owning node's inbox; a frame that fails to decode is counted in
-//!   [`SimStats::messages_rejected`](crate::sim::SimStats::messages_rejected)
-//!   and skipped — a framing-level error
-//!   (oversize prefix, truncation) closes that connection, and neither
-//!   ever wedges the node's event loop;
+//!   [`StatsSnapshot::messages_rejected`](crate::stats::StatsSnapshot::messages_rejected)
+//!   and skipped — a framing-level error (oversize prefix, truncation)
+//!   closes that connection, and neither ever wedges the node's event
+//!   loop;
 //! * one **node thread** per node running the same
-//!   [`Process`]/[`Adversary`] dispatch loop as the threaded runtime, with
-//!   [`LinkFaultPlan`] decisions interposed on the send path through the
-//!   same per-edge message-index function, so the fate of the k-th message
-//!   on an edge is identical across all three runtimes;
+//!   [`Process`]/[`Adversary`] node loop as the threaded runtime, whose
+//!   send path judges every message by the [`LinkFaultPlan`] under the
+//!   same per-edge message index, so the fate of the k-th message on an
+//!   edge is identical across all three runtimes; only the delivery step
+//!   differs — encode once, write one frame per surviving copy;
 //! * the **watchdog and straggler classification are shared** with the
 //!   threaded runtime (`await_completion` / `join_and_classify`), so a
 //!   partitioned or panicked node degrades into the same typed
@@ -35,17 +36,18 @@
 pub mod codec;
 pub mod connection;
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
+use crate::chaos::{LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
-use crate::process::{Adversary, Context, Process};
+use crate::link::{observed, Link};
+use crate::process::{Actor, Adversary, Process};
 use crate::stats::{MsgClass, StatsHandle, StatsRegistry};
-use crate::threaded::{await_completion, join_and_classify, ThreadedReport, Transport};
+use crate::threaded::{await_completion, join_and_classify, node_loop, ThreadedReport, Watch};
 use codec::{write_frame, FrameReader, WireMessage};
 use connection::{establish, Duplex, TransportKind};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use dbac_graph::{Digraph, NodeId};
 use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,11 +72,6 @@ type Inbox<M> = Sender<(NodeId, M)>;
 /// The receiving half a node thread drains.
 type InboxRx<M> = Receiver<(NodeId, M)>;
 
-enum Actor<P: Process> {
-    Honest(P),
-    Byzantine(Box<dyn Adversary<P::Message> + Send>),
-}
-
 /// A network execution: every node on its own thread, every message
 /// through the wire codec and a framed duplex connection. Assign an actor
 /// to every node, then [`run`](Net::run). The report type is shared with
@@ -83,7 +80,7 @@ pub struct Net<P: Process> {
     graph: Arc<Digraph>,
     actors: Vec<Option<Actor<P>>>,
     link_faults: Option<Arc<LinkFaultPlan>>,
-    registry: Option<Arc<StatsRegistry>>,
+    registry: Arc<StatsRegistry>,
 }
 
 impl<P> Net<P>
@@ -95,7 +92,12 @@ where
     #[must_use]
     pub fn new(graph: Arc<Digraph>) -> Self {
         let n = graph.node_count();
-        Net { graph, actors: (0..n).map(|_| None).collect(), link_faults: None, registry: None }
+        Net {
+            graph,
+            actors: (0..n).map(|_| None).collect(),
+            link_faults: None,
+            registry: observed(StatsRegistry::new(n)),
+        }
     }
 
     /// Assigns an honest process to `v`.
@@ -122,15 +124,13 @@ where
         self
     }
 
-    /// Attaches a live stats registry: every node thread and every
-    /// connection reader thread registers its own shard. Node threads
-    /// mirror send/delivery counters (per message class via
-    /// [`Process::classify`]) plus the per-node gauges; reader threads
-    /// account undecodable frames as rejected.
+    /// Attaches a live stats registry in place of the run's private one:
+    /// every node thread and every connection reader thread registers
+    /// its own shard. Node threads count sends and deliveries (per
+    /// message class via [`Process::classify`]) plus the per-node gauges;
+    /// reader threads account undecodable frames as rejected.
     pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
-        registry.note_transport_observed();
-        registry.note_nodes_observed();
-        self.registry = Some(registry);
+        self.registry = observed(registry);
         self
     }
 
@@ -189,19 +189,14 @@ where
             }
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let done_count = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(done);
-        let transport = Arc::new(Transport::default());
-
+        let watch = Watch::new(done);
         let mut reader_handles = Vec::with_capacity(reader_specs.len());
         for (owner, from, reader) in reader_specs {
             let inbox = inbox_tx[owner.index()].as_ref().expect("sender alive").clone();
-            let stop = Arc::clone(&stop);
-            let transport = Arc::clone(&transport);
-            let stats = self.registry.as_ref().map(|r| r.register());
+            let watch = Arc::clone(&watch);
+            let stats = self.registry.register();
             reader_handles.push(std::thread::spawn(move || {
-                pump_frames::<P::Message>(reader, from, &inbox, &stop, &transport, stats.as_ref());
+                pump_frames::<P::Message>(reader, from, &inbox, &watch.stop, &stats);
             }));
         }
         // Reader threads hold the only inbox senders from here on, so a
@@ -215,147 +210,52 @@ where
             let rx = rx_slot.take().expect("taken once");
             let graph = Arc::clone(&self.graph);
             let mut writers = std::mem::take(&mut writers[i]);
-            let stop = Arc::clone(&stop);
-            let done_count = Arc::clone(&done_count);
-            let done = Arc::clone(&done);
-            let transport = Arc::clone(&transport);
-            let plan = self.link_faults.clone();
-            let stats = self.registry.as_ref().map(|r| r.register());
+            let watch = Arc::clone(&watch);
+            let link = Link::new(self.link_faults.clone(), self.registry.register());
 
             handles.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                let mut reported_done = false;
-                // Edge (u, v) has exactly one sender, so this thread-local
-                // counter agrees with the simulator's global one.
-                let mut edge_counters = EdgeCounters::new();
-                let out = graph.out_neighbors(me);
-                let mut dispatch = |ctx: &mut Context<P::Message>| {
-                    for (to, msg) in ctx.take_outbox() {
-                        transport.sent.fetch_add(1, Ordering::Relaxed);
-                        let class = P::classify(&msg);
-                        if let Some(h) = &stats {
-                            h.record_sent(class);
-                        }
-                        let decision = match plan.as_deref() {
-                            Some(p) => p.decide(me, to, edge_counters.next(me, to)),
-                            None => LinkDecision::CLEAN,
-                        };
-                        if decision.copies == 0 {
-                            let counter = if decision.corrupted {
-                                &transport.corrupted
-                            } else {
-                                &transport.dropped
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                if decision.corrupted {
-                                    h.record_corrupted(class);
-                                } else {
-                                    h.record_dropped(class);
-                                }
-                            }
-                            continue;
-                        }
-                        if decision.extra_delay > 0 {
-                            std::thread::sleep(Duration::from_micros(decision.extra_delay));
-                        }
-                        let body = msg.to_bytes();
-                        let writer = writers[to.index()].as_mut().expect("edge has a connection");
-                        for _ in 1..decision.copies {
-                            transport.duplicated.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_duplicated(class);
-                                h.record_enqueued(to.index());
-                            }
-                            // Peer may already have shut down; ignore.
-                            let _ = write_frame(&mut **writer, &body);
-                        }
-                        if let Some(h) = &stats {
-                            h.record_enqueued(to.index());
-                        }
+                let deliver = |to: NodeId, msg: P::Message, decision: LinkDecision| {
+                    if decision.extra_delay > 0 {
+                        std::thread::sleep(Duration::from_micros(decision.extra_delay));
+                    }
+                    let body = msg.to_bytes();
+                    let writer = writers[to.index()].as_mut().expect("edge has a connection");
+                    for _ in 0..decision.copies {
+                        // Peer may already have shut down; ignore.
                         let _ = write_frame(&mut **writer, &body);
                     }
                 };
-                let check_done = |actor: &Actor<P>, reported: &mut bool| {
-                    if !*reported {
-                        if let Actor::Honest(p) = actor {
-                            if done(p) {
-                                *reported = true;
-                                done_count.fetch_add(1, Ordering::SeqCst);
-                                if let Some(h) = &stats {
-                                    h.mark_done(me.index());
-                                }
-                            }
-                        }
-                    }
-                };
-
-                let mut ctx = Context::new(me, out);
-                match &mut actor {
-                    Actor::Honest(p) => p.on_start(&mut ctx),
-                    Actor::Byzantine(a) => a.on_start(&mut ctx),
-                }
-                dispatch(&mut ctx);
-                check_done(&actor, &mut reported_done);
-
-                let mut starved = false;
-                while !stop.load(Ordering::SeqCst) {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok((from, msg)) => {
-                            transport.delivered.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_delivered(P::classify(&msg));
-                                h.record_consumed(me.index());
-                            }
-                            let mut ctx = Context::new(me, out);
-                            match &mut actor {
-                                Actor::Honest(p) => p.on_message(&mut ctx, from, msg),
-                                Actor::Byzantine(a) => a.on_message(&mut ctx, from, msg),
-                            }
-                            dispatch(&mut ctx);
-                            check_done(&actor, &mut reported_done);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            starved = !stop.load(Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-                match actor {
-                    Actor::Honest(p) => (Some(p), starved),
-                    Actor::Byzantine(_) => (None, starved),
-                }
+                node_loop(me, graph.out_neighbors(me), actor, &rx, link, &watch, deliver)
             }));
         }
 
-        await_completion(&done_count, honest_total, Instant::now() + config.timeout);
-        stop.store(true, Ordering::SeqCst);
+        await_completion(&watch.done_count, honest_total, Instant::now() + config.timeout);
+        watch.stop.store(true, Ordering::SeqCst);
 
-        let (nodes, incomplete) = join_and_classify(handles, &honest_slots, &*done);
+        let (nodes, incomplete) = join_and_classify(handles, &honest_slots, &watch.done);
         // Node threads have dropped their writer halves; readers unblock
         // via their read timeout, observe the stop flag or EOF, and exit.
         for h in reader_handles {
             let _ = h.join();
         }
-        Ok(ThreadedReport { nodes, incomplete, stats: transport.stats() })
+        Ok(ThreadedReport { nodes, incomplete, stats: self.registry.snapshot() })
     }
 }
 
 /// The per-connection reader loop: pulls frames, decodes, forwards into
 /// the owner's inbox. Total by construction — an undecodable frame is
-/// counted in [`messages_rejected`](crate::sim::SimStats::messages_rejected)
-/// and **skipped** (the loop
-/// keeps pumping), while a framing-level error (oversize length prefix,
-/// mid-frame truncation) also counts once and closes this connection. A
-/// Byzantine byte stream can therefore never wedge the peer's event loop.
+/// counted in
+/// [`messages_rejected`](crate::stats::StatsSnapshot::messages_rejected)
+/// and **skipped** (the loop keeps pumping), while a framing-level error
+/// (oversize length prefix, mid-frame truncation) also counts once and
+/// closes this connection. A Byzantine byte stream can therefore never
+/// wedge the peer's event loop.
 fn pump_frames<M: WireMessage>(
     reader: Box<dyn Read + Send>,
     from: NodeId,
     inbox: &Inbox<M>,
     stop: &AtomicBool,
-    transport: &Transport,
-    stats: Option<&StatsHandle>,
+    stats: &StatsHandle,
 ) {
     // Buffer socket reads so a burst of small frames costs one syscall,
     // not two per frame. `BufReader` passes the transport's `WouldBlock`
@@ -370,21 +270,13 @@ fn pump_frames<M: WireMessage>(
                 Ok(msg) => {
                     let _ = inbox.send((from, msg));
                 }
-                Err(_) => {
-                    transport.rejected.fetch_add(1, Ordering::Relaxed);
-                    // A frame that fails to decode has no classifiable
-                    // payload; it lands in the `Other` bucket.
-                    if let Some(h) = stats {
-                        h.record_rejected(MsgClass::Other);
-                    }
-                }
+                // A frame that fails to decode has no classifiable
+                // payload; it lands in the `Other` bucket.
+                Err(_) => stats.record_rejected(MsgClass::Other),
             },
             Ok(None) => break,
             Err(_) => {
-                transport.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(h) = stats {
-                    h.record_rejected(MsgClass::Other);
-                }
+                stats.record_rejected(MsgClass::Other);
                 break;
             }
         }
@@ -395,7 +287,7 @@ fn pump_frames<M: WireMessage>(
 mod tests {
     use super::*;
     use crate::chaos::LinkFault;
-    use crate::process::Silent;
+    use crate::process::{Context, Silent};
     use crate::threaded::{Incomplete, IncompleteReason};
     use codec::MAX_FRAME;
     use dbac_graph::generators;
@@ -407,6 +299,13 @@ mod tests {
 
     fn config(kind: TransportKind, timeout_ms: u64) -> NetConfig {
         NetConfig { timeout: Duration::from_millis(timeout_ms), transport: kind }
+    }
+
+    /// A one-shard registry for driving `pump_frames` directly.
+    fn shard() -> (Arc<StatsRegistry>, StatsHandle) {
+        let registry = observed(StatsRegistry::new(4));
+        let handle = registry.register();
+        (registry, handle)
     }
 
     /// Collects one value from every in-neighbor, then is done.
@@ -435,9 +334,9 @@ mod tests {
         }
         let report = net.run(|p| p.heard.len() >= p.expected, config(kind, 10_000)).unwrap();
         assert!(report.incomplete.is_empty(), "{:?}", report.incomplete);
-        assert_eq!(report.stats.messages_sent, 12);
-        assert!(report.stats.messages_delivered >= 12);
-        assert_eq!(report.stats.messages_rejected, 0, "honest peers encode cleanly");
+        assert_eq!(report.stats.messages_sent(), 12);
+        assert!(report.stats.messages_delivered() >= 12);
+        assert_eq!(report.stats.messages_rejected(), 0, "honest peers encode cleanly");
         for p in report.nodes.iter().flatten() {
             assert!(p.heard.len() >= 3);
         }
@@ -514,8 +413,8 @@ mod tests {
             vec![Incomplete { node: id(1), reason: IncompleteReason::Timeout }],
             "only the node behind the cut edge misses its quota"
         );
-        assert_eq!(report.stats.messages_dropped, 1);
-        assert_eq!(report.stats.messages_sent, 6);
+        assert_eq!(report.stats.messages_dropped(), 1);
+        assert_eq!(report.stats.messages_sent(), 6);
         let starved = report.nodes[1].as_ref().unwrap();
         assert_eq!(starved.heard.len(), 1, "node 2's message still arrives");
     }
@@ -535,7 +434,7 @@ mod tests {
             .run(|p| p.heard.len() >= p.expected, config(TransportKind::InProcess, 5_000))
             .unwrap();
         assert!(report.incomplete.is_empty());
-        assert_eq!(report.stats.messages_duplicated, 1);
+        assert_eq!(report.stats.messages_duplicated(), 1);
         assert_eq!(report.nodes[1].as_ref().unwrap().heard, vec![7, 7]);
     }
 
@@ -550,11 +449,11 @@ mod tests {
         drop(w); // EOF ends the pump
         let (tx, rx) = unbounded();
         let stop = AtomicBool::new(false);
-        let transport = Transport::default();
-        pump_frames::<u64>(Box::new(r), id(3), &tx, &stop, &transport, None);
+        let (registry, stats) = shard();
+        pump_frames::<u64>(Box::new(r), id(3), &tx, &stop, &stats);
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(3), 7), (id(3), 9)], "good frames flow past the bad one");
-        assert_eq!(transport.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(registry.snapshot().messages_rejected(), 1);
     }
 
     #[test]
@@ -566,13 +465,13 @@ mod tests {
         w.write_all(&2u64.to_le_bytes()).unwrap();
         let (tx, rx) = unbounded();
         let stop = AtomicBool::new(false);
-        let transport = Transport::default();
+        let (registry, stats) = shard();
         // The writer stays alive: the pump must exit via the framing
         // error, not EOF — that is exactly the no-wedge guarantee.
-        pump_frames::<u64>(Box::new(r), id(0), &tx, &stop, &transport, None);
+        pump_frames::<u64>(Box::new(r), id(0), &tx, &stop, &stats);
         let got: Vec<(NodeId, u64)> = rx.try_iter().collect();
         assert_eq!(got, vec![(id(0), 1)], "frames before the error were delivered");
-        assert_eq!(transport.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(registry.snapshot().messages_rejected(), 1);
         drop(w);
     }
 
@@ -604,10 +503,10 @@ mod tests {
             drop(w);
             let (tx, rx) = unbounded();
             let stop = AtomicBool::new(false);
-            let transport = Transport::default();
-            pump_frames::<u64>(Box::new(r), id(1), &tx, &stop, &transport, None);
+            let (registry, stats) = shard();
+            pump_frames::<u64>(Box::new(r), id(1), &tx, &stop, &stats);
             let delivered = rx.try_iter().count() as u64;
-            let rejected = transport.rejected.load(Ordering::Relaxed);
+            let rejected = registry.snapshot().messages_rejected();
             assert!(
                 delivered + rejected <= frames as u64 + 1,
                 "every frame is either delivered or rejected (plus at most \

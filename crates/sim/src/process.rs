@@ -43,6 +43,47 @@ pub trait Adversary<M> {
     fn on_message(&mut self, ctx: &mut Context<M>, from: NodeId, msg: M);
 }
 
+/// What a runtime runs at one node: an honest process or a Byzantine
+/// adversary speaking the same message type.
+pub(crate) enum Actor<P: Process> {
+    Honest(P),
+    Byzantine(Box<dyn Adversary<P::Message> + Send>),
+}
+
+impl<P: Process> Actor<P> {
+    /// The initial activation.
+    pub(crate) fn start(&mut self, ctx: &mut Context<P::Message>) {
+        match self {
+            Actor::Honest(p) => p.on_start(ctx),
+            Actor::Byzantine(a) => a.on_start(ctx),
+        }
+    }
+
+    /// One delivery from the authenticated sender `from`.
+    pub(crate) fn deliver(&mut self, ctx: &mut Context<P::Message>, from: NodeId, msg: P::Message) {
+        match self {
+            Actor::Honest(p) => p.on_message(ctx, from, msg),
+            Actor::Byzantine(a) => a.on_message(ctx, from, msg),
+        }
+    }
+
+    /// The honest process, if this is one.
+    pub(crate) fn honest(&self) -> Option<&P> {
+        match self {
+            Actor::Honest(p) => Some(p),
+            Actor::Byzantine(_) => None,
+        }
+    }
+
+    /// The final honest state; `None` for a Byzantine slot.
+    pub(crate) fn into_honest(self) -> Option<P> {
+        match self {
+            Actor::Honest(p) => Some(p),
+            Actor::Byzantine(_) => None,
+        }
+    }
+}
+
 /// A crashed / completely silent node — the weakest Byzantine behaviour,
 /// used both as a crash-fault model and in the Appendix-B construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

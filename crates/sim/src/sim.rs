@@ -1,47 +1,16 @@
 //! The deterministic discrete-event simulator.
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
+use crate::chaos::LinkFaultPlan;
 use crate::error::SimError;
-use crate::process::{Adversary, Context, Process};
+use crate::link::{observed, Link};
+use crate::process::{Actor, Adversary, Context, Process};
 use crate::queue::EventQueue;
 use crate::scheduler::DeliveryPolicy;
-use crate::stats::{StatsHandle, StatsRegistry};
+use crate::stats::{StatsRegistry, StatsSnapshot};
 use crate::time::VirtualTime;
 use crate::trace::Trace;
 use dbac_graph::{Digraph, NodeId};
 use std::sync::Arc;
-
-/// Counters describing a finished (or aborted) run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Messages handed to the delivery queue.
-    pub messages_sent: u64,
-    /// Messages delivered to a recipient's handler.
-    pub messages_delivered: u64,
-    /// Messages still queued past the horizon when the run stopped
-    /// (non-zero only with adversarial far-future delays).
-    pub messages_undelivered: u64,
-    /// Messages destroyed by a link-fault plan (drop, partition, omit).
-    pub messages_dropped: u64,
-    /// Extra copies injected by a link-fault plan's duplication faults.
-    pub messages_duplicated: u64,
-    /// Messages damaged in flight by a link-fault plan and discarded on
-    /// receipt (counted separately from clean drops).
-    pub messages_corrupted: u64,
-    /// Frames that arrived over a real byte stream but failed to decode
-    /// and were discarded by the receiver ([`Runtime::Net`]-only — the
-    /// in-process runtimes never serialize, so this stays zero there).
-    ///
-    /// [`Runtime::Net`]: https://docs.rs/dbac/latest/dbac/scenario/enum.Runtime.html
-    pub messages_rejected: u64,
-    /// Virtual time of the last delivery.
-    pub final_time: VirtualTime,
-}
-
-enum Actor<P: Process> {
-    Honest(P),
-    Byzantine(Box<dyn Adversary<P::Message> + Send>),
-}
 
 /// A deterministic event-driven run of one protocol instance over a fixed
 /// directed network.
@@ -72,12 +41,11 @@ pub struct Simulation<P: Process> {
     policy: Box<dyn DeliveryPolicy + Send>,
     queue: EventQueue<P::Message>,
     now: VirtualTime,
-    stats: SimStats,
     max_events: u64,
     horizon: VirtualTime,
     trace: Option<Trace<P::Message>>,
-    chaos: Option<(LinkFaultPlan, EdgeCounters)>,
-    registry: Option<(Arc<StatsRegistry>, StatsHandle)>,
+    link_faults: Option<Arc<LinkFaultPlan>>,
+    registry: Arc<StatsRegistry>,
 }
 
 impl<P: Process> Simulation<P> {
@@ -91,12 +59,11 @@ impl<P: Process> Simulation<P> {
             policy,
             queue: EventQueue::new(),
             now: VirtualTime::ZERO,
-            stats: SimStats::default(),
             max_events: 50_000_000,
             horizon: VirtualTime::FAR_FUTURE,
             trace: None,
-            chaos: None,
-            registry: None,
+            link_faults: None,
+            registry: observed(StatsRegistry::new(n)),
         }
     }
 
@@ -124,8 +91,8 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Stops delivering events scheduled after `horizon`; remaining events
-    /// are counted in [`SimStats::messages_undelivered`]. Models "delayed
-    /// past the decision point" (Appendix B).
+    /// are counted in [`StatsSnapshot::messages_undelivered`]. Models
+    /// "delayed past the decision point" (Appendix B).
     pub fn set_horizon(&mut self, horizon: VirtualTime) -> &mut Self {
         self.horizon = horizon;
         self
@@ -135,20 +102,17 @@ impl<P: Process> Simulation<P> {
     /// judged by [`LinkFaultPlan::decide`] under a per-edge message index
     /// before it reaches the delivery queue.
     pub fn set_link_faults(&mut self, plan: LinkFaultPlan) -> &mut Self {
-        self.chaos = Some((plan, EdgeCounters::new()));
+        self.link_faults = Some(Arc::new(plan));
         self
     }
 
-    /// Attaches a live stats registry. The single-threaded event loop
-    /// registers one shard and mirrors every [`SimStats`] increment into
-    /// it (bucketed per message class via [`Process::classify`]), so the
-    /// registry's merged snapshot agrees with the returned `SimStats`
-    /// totals message-for-message.
+    /// Attaches a live stats registry in place of the run's private one.
+    /// The single-threaded event loop registers one shard and counts
+    /// every send and delivery in it (bucketed per message class via
+    /// [`Process::classify`]); [`run`](Simulation::run) returns the
+    /// registry's merged snapshot.
     pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
-        registry.note_transport_observed();
-        registry.note_nodes_observed();
-        let handle = registry.register();
-        self.registry = Some((registry, handle));
+        self.registry = observed(registry);
         self
     }
 
@@ -181,10 +145,7 @@ impl<P: Process> Simulation<P> {
     /// output after the run). Returns `None` for Byzantine nodes.
     #[must_use]
     pub fn honest(&self, v: NodeId) -> Option<&P> {
-        match self.actors[v.index()] {
-            Some(Actor::Honest(ref p)) => Some(p),
-            _ => None,
-        }
+        self.actors[v.index()].as_ref().and_then(Actor::honest)
     }
 
     /// Current virtual time.
@@ -194,98 +155,60 @@ impl<P: Process> Simulation<P> {
     }
 
     /// Runs `on_start` everywhere, then delivers events in order until
-    /// quiescence (or the horizon / event budget).
+    /// quiescence (or the horizon / event budget), and returns the stats
+    /// registry's merged snapshot. Events still queued past the horizon
+    /// are its [`messages_undelivered`](StatsSnapshot::messages_undelivered);
+    /// its virtual time is that of the last delivery.
     ///
     /// # Errors
     ///
     /// [`SimError::UnassignedNode`] if a node has no actor;
     /// [`SimError::EventBudgetExhausted`] if the budget runs out.
-    pub fn run(&mut self) -> Result<SimStats, SimError> {
+    pub fn run(&mut self) -> Result<StatsSnapshot, SimError> {
         if let Some(missing) = self.actors.iter().position(Option::is_none) {
             return Err(SimError::UnassignedNode { node: missing });
         }
+        let mut link = Link::new(self.link_faults.clone(), self.registry.register());
         // Start phase.
         for i in 0..self.actors.len() {
             let v = NodeId::new(i);
             let mut ctx = Context::new(v, self.graph.out_neighbors(v));
-            match self.actors[i].as_mut().expect("checked above") {
-                Actor::Honest(p) => p.on_start(&mut ctx),
-                Actor::Byzantine(a) => a.on_start(&mut ctx),
-            }
-            self.dispatch(v, &mut ctx);
+            self.actors[i].as_mut().expect("checked above").start(&mut ctx);
+            self.dispatch(&mut link, v, &mut ctx);
         }
         // Delivery loop.
+        let mut delivered = 0u64;
         while let Some(ev) = self.queue.pop_due(self.horizon) {
-            if self.stats.messages_delivered >= self.max_events {
-                return Err(SimError::EventBudgetExhausted {
-                    delivered: self.stats.messages_delivered,
-                });
+            if delivered >= self.max_events {
+                return Err(SimError::EventBudgetExhausted { delivered });
             }
+            delivered += 1;
             self.now = ev.at;
-            self.stats.messages_delivered += 1;
-            self.stats.final_time = ev.at;
-            if let Some((registry, handle)) = self.registry.as_ref() {
-                handle.record_delivered(P::classify(&ev.msg));
-                handle.record_consumed(ev.to.index());
-                registry.record_virtual_time(ev.at.ticks());
-            }
+            link.delivered(P::classify(&ev.msg), ev.to);
+            self.registry.record_virtual_time(ev.at.ticks());
             if let Some(trace) = self.trace.as_mut() {
                 trace.record(ev.at, ev.from, ev.to, ev.msg.clone());
             }
             let mut ctx = Context::new(ev.to, self.graph.out_neighbors(ev.to));
-            match self.actors[ev.to.index()].as_mut().expect("checked above") {
-                Actor::Honest(p) => p.on_message(&mut ctx, ev.from, ev.msg),
-                Actor::Byzantine(a) => a.on_message(&mut ctx, ev.from, ev.msg),
-            }
-            let sender = ev.to;
-            self.dispatch(sender, &mut ctx);
+            self.actors[ev.to.index()]
+                .as_mut()
+                .expect("checked above")
+                .deliver(&mut ctx, ev.from, ev.msg);
+            self.dispatch(&mut link, ev.to, &mut ctx);
         }
-        self.stats.messages_undelivered = self.queue.len() as u64;
-        Ok(self.stats)
+        Ok(self.registry.snapshot())
     }
 
-    fn dispatch(&mut self, from: NodeId, ctx: &mut Context<P::Message>) {
+    fn dispatch(&mut self, link: &mut Link, from: NodeId, ctx: &mut Context<P::Message>) {
         for (to, msg) in ctx.take_outbox() {
-            self.stats.messages_sent += 1;
-            let class = P::classify(&msg);
-            if let Some((_, handle)) = self.registry.as_ref() {
-                handle.record_sent(class);
-            }
-            let decision = match self.chaos.as_mut() {
-                Some((plan, counters)) => {
-                    let k = counters.next(from, to);
-                    plan.decide(from, to, k)
-                }
-                None => LinkDecision::CLEAN,
-            };
+            let decision = link.send(P::classify(&msg), from, to);
             if decision.copies == 0 {
                 // Destroyed messages must not advance the delivery policy's
                 // RNG stream — that keeps clean edges bit-identical whether
                 // or not a plan is attached.
-                if decision.corrupted {
-                    self.stats.messages_corrupted += 1;
-                } else {
-                    self.stats.messages_dropped += 1;
-                }
-                if let Some((_, handle)) = self.registry.as_ref() {
-                    if decision.corrupted {
-                        handle.record_corrupted(class);
-                    } else {
-                        handle.record_dropped(class);
-                    }
-                }
                 continue;
             }
-            if let Some((_, handle)) = self.registry.as_ref() {
-                for _ in 0..decision.copies {
-                    handle.record_enqueued(to.index());
-                }
-                for _ in 1..decision.copies {
-                    handle.record_duplicated(class);
-                }
-            }
             for _ in 1..decision.copies {
-                self.stats.messages_duplicated += 1;
                 let at = self.arrival(from, to, decision.extra_delay);
                 self.queue.push(at, from, to, msg.clone());
             }
@@ -311,7 +234,6 @@ impl<P: Process> std::fmt::Debug for Simulation<P> {
             .field("nodes", &self.graph.node_count())
             .field("now", &self.now)
             .field("queued", &self.queue.len())
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -321,6 +243,7 @@ mod tests {
     use super::*;
     use crate::process::Silent;
     use crate::scheduler::{EdgeDelay, FixedDelay, RandomDelay};
+    use crate::stats::Coverage;
     use dbac_graph::generators;
 
     fn id(i: usize) -> NodeId {
@@ -356,9 +279,9 @@ mod tests {
     fn delivers_every_broadcast() {
         let mut sim = gossip_sim(4, Box::new(FixedDelay::new(1)));
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_sent, 12);
-        assert_eq!(stats.messages_delivered, 12);
-        assert_eq!(stats.messages_undelivered, 0);
+        assert_eq!(stats.messages_sent(), 12);
+        assert_eq!(stats.messages_delivered(), 12);
+        assert_eq!(stats.messages_undelivered(), 0);
         for i in 0..4 {
             let p = sim.honest(id(i)).unwrap();
             assert_eq!(p.heard.len(), 3);
@@ -395,8 +318,8 @@ mod tests {
         sim.set_honest(id(1), Gossip { input: 2, heard: Vec::new() });
         sim.set_horizon(VirtualTime::new(1_000));
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_delivered, 1, "only 1 -> 0 arrives");
-        assert_eq!(stats.messages_undelivered, 1);
+        assert_eq!(stats.messages_delivered(), 1, "only 1 -> 0 arrives");
+        assert_eq!(stats.messages_undelivered(), 1);
         assert!(sim.honest(id(1)).unwrap().heard.is_empty());
     }
 
@@ -408,7 +331,7 @@ mod tests {
         sim.set_honest(id(1), Gossip { input: 1, heard: Vec::new() });
         sim.set_byzantine(id(2), Box::new(Silent));
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_sent, 4, "two honest broadcasts of two messages");
+        assert_eq!(stats.messages_sent(), 4, "two honest broadcasts of two messages");
         assert_eq!(sim.honest(id(0)).unwrap().heard.len(), 1);
     }
 
@@ -450,7 +373,7 @@ mod tests {
     fn stats_final_time_matches_last_delivery() {
         let mut sim = gossip_sim(2, Box::new(FixedDelay::new(7)));
         let stats = sim.run().unwrap();
-        assert_eq!(stats.final_time, VirtualTime::new(7));
+        assert_eq!(stats.virtual_time, Coverage::Measured(7));
         assert_eq!(sim.now(), VirtualTime::new(7));
     }
 
@@ -460,9 +383,9 @@ mod tests {
         let mut sim = gossip_sim(3, Box::new(FixedDelay::new(1)));
         sim.set_link_faults(LinkFaultPlan::new(0).fault(id(0), id(1), LinkFault::Omit));
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_sent, 6);
-        assert_eq!(stats.messages_dropped, 1);
-        assert_eq!(stats.messages_delivered, 5);
+        assert_eq!(stats.messages_sent(), 6);
+        assert_eq!(stats.messages_dropped(), 1);
+        assert_eq!(stats.messages_delivered(), 5);
         assert_eq!(sim.honest(id(1)).unwrap().heard.len(), 1, "only node 2's message arrives");
     }
 
@@ -476,8 +399,8 @@ mod tests {
             LinkFault::Duplicate { prob: 1.0 },
         ));
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_duplicated, 1);
-        assert_eq!(stats.messages_delivered, 7);
+        assert_eq!(stats.messages_duplicated(), 1);
+        assert_eq!(stats.messages_delivered(), 7);
         assert_eq!(sim.honest(id(1)).unwrap().heard.len(), 3);
     }
 
@@ -493,9 +416,9 @@ mod tests {
             ),
         );
         let stats = sim.run().unwrap();
-        assert_eq!(stats.messages_corrupted, 1);
-        assert_eq!(stats.messages_dropped, 1);
-        assert_eq!(stats.messages_delivered, 4);
+        assert_eq!(stats.messages_corrupted(), 1);
+        assert_eq!(stats.messages_dropped(), 1);
+        assert_eq!(stats.messages_delivered(), 4);
     }
 
     #[test]
@@ -507,8 +430,9 @@ mod tests {
                 sim.set_link_faults(plan);
             }
             sim.record_trace();
+            // Everything but the wall clock.
             let stats = sim.run().unwrap();
-            (stats, sim.trace().unwrap().clone())
+            (stats.transport, stats.nodes, stats.virtual_time, sim.trace().unwrap().clone())
         };
         let zero = LinkFaultPlan::new(99)
             .fault(id(0), id(1), LinkFault::Drop { prob: 0.0 })
@@ -539,7 +463,7 @@ mod tests {
     }
 
     /// Order-sensitive digest of a delivery trace and its run's counters.
-    fn digest(trace: &Trace<u64>, stats: &SimStats) -> u64 {
+    fn digest(trace: &Trace<u64>, stats: &StatsSnapshot) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325_u64;
         let mut eat = |word: u64| h = (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
         for e in trace.events() {
@@ -549,11 +473,11 @@ mod tests {
             eat(e.msg);
         }
         for word in [
-            stats.messages_sent,
-            stats.messages_delivered,
-            stats.messages_undelivered,
-            stats.messages_duplicated,
-            stats.final_time.ticks(),
+            stats.messages_sent(),
+            stats.messages_delivered(),
+            stats.messages_undelivered(),
+            stats.messages_duplicated(),
+            *stats.virtual_time.measured().expect("the run delivered"),
         ] {
             eat(word);
         }
@@ -588,7 +512,7 @@ mod tests {
         }
         sim.set_link_faults(plan);
         let stats = sim.run().unwrap();
-        assert!(stats.messages_duplicated > 0);
+        assert!(stats.messages_duplicated() > 0);
         assert_eq!(digest(sim.trace().unwrap(), &stats), 436_872_023_783_818_403);
     }
 
@@ -603,7 +527,7 @@ mod tests {
         let mut sim = relay_sim(6, Box::new(policy));
         sim.set_horizon(VirtualTime::new(300));
         let stats = sim.run().unwrap();
-        assert!(stats.messages_undelivered > 0);
+        assert!(stats.messages_undelivered() > 0);
         assert_eq!(digest(sim.trace().unwrap(), &stats), 8_997_002_762_011_270_694);
     }
 

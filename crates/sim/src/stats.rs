@@ -675,6 +675,7 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
     use std::thread;
 
     #[test]
@@ -726,10 +727,15 @@ mod tests {
         let reg = StatsRegistry::new(1);
         reg.note_transport_observed();
         let stop = Arc::new(AtomicBool::new(false));
+        // Writers start only once the reader has polled, so the reader
+        // cannot be starved until every writer is done.
+        let first_poll = Arc::new(Barrier::new(5));
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let h = reg.register();
+                let first_poll = Arc::clone(&first_poll);
                 thread::spawn(move || {
+                    first_poll.wait();
                     for _ in 0..10_000 {
                         h.record_sent(MsgClass::Other);
                     }
@@ -742,11 +748,17 @@ mod tests {
             thread::spawn(move || {
                 let mut last = 0u64;
                 let mut polls = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                loop {
                     let now = reg.snapshot().messages_sent();
                     assert!(now >= last, "live totals regressed: {last} -> {now}");
                     last = now;
                     polls += 1;
+                    if polls == 1 {
+                        first_poll.wait();
+                    }
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
                 polls
             })

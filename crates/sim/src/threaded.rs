@@ -14,22 +14,24 @@
 //!   The watchdog deadline stops the network, every surviving node's final
 //!   state is extracted, and the stragglers are reported per node in
 //!   [`ThreadedReport::incomplete`] with a typed [`IncompleteReason`].
-//! * **Chaos parity.** An optional [`LinkFaultPlan`] interposes on the
-//!   crossbeam send path using the same stateless decision function as the
-//!   simulator, so the fate of the k-th message on an edge is identical in
-//!   both runtimes.
+//! * **Chaos parity.** Every send goes through the same send path as the
+//!   simulator's: an optional [`LinkFaultPlan`] judges it under the same
+//!   per-edge message index, and the run's stats registry counts it, so
+//!   the fate of the k-th message on an edge is identical in both
+//!   runtimes. The node loop (`node_loop`) is shared with the network
+//!   runtime; only the delivery step (jitter, then a channel send)
+//!   belongs to this one.
 
-use crate::chaos::{EdgeCounters, LinkDecision, LinkFaultPlan};
+use crate::chaos::{LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
-use crate::process::{Adversary, Context, Process};
-use crate::sim::SimStats;
-use crate::stats::StatsRegistry;
-use crate::time::VirtualTime;
+use crate::link::{observed, Link};
+use crate::process::{Actor, Adversary, Context, Process};
+use crate::stats::{StatsRegistry, StatsSnapshot};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dbac_graph::{Digraph, NodeId};
+use dbac_graph::{Digraph, NodeId, NodeSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -85,8 +87,8 @@ pub struct Incomplete {
     pub reason: IncompleteReason,
 }
 
-/// The outcome of a threaded run: per-node final states, per-node
-/// stragglers, and transport counters.
+/// The outcome of a threaded or network run: per-node final states,
+/// per-node stragglers, and the run's stats.
 #[derive(Debug)]
 pub struct ThreadedReport<P> {
     /// Final process state per node: `None` for Byzantine slots and for
@@ -95,47 +97,23 @@ pub struct ThreadedReport<P> {
     pub nodes: Vec<Option<P>>,
     /// Honest nodes that failed to complete, in node order.
     pub incomplete: Vec<Incomplete>,
-    /// Transport counters observed by the send-path interposer
-    /// (`final_time` stays zero — wall-clock runs have no virtual clock).
-    pub stats: SimStats,
+    /// The merged snapshot of the run's stats registry, taken after every
+    /// thread has stopped (its virtual time is not observable — wall-clock
+    /// runs have no virtual clock).
+    pub stats: StatsSnapshot,
 }
 
-/// Send-path counters shared by every node thread (and, in the network
-/// runtime, by every connection reader thread).
-#[derive(Default)]
-pub(crate) struct Transport {
-    pub(crate) sent: AtomicU64,
-    pub(crate) delivered: AtomicU64,
-    pub(crate) dropped: AtomicU64,
-    pub(crate) duplicated: AtomicU64,
-    pub(crate) corrupted: AtomicU64,
-    /// Frames discarded by a receiver because they failed to decode
-    /// (network runtime only; always zero for in-process channels).
-    pub(crate) rejected: AtomicU64,
+/// The run-wide state node threads share with the watchdog: the stop
+/// flag, the count of honest nodes that reached `done`, and `done` itself.
+pub(crate) struct Watch<F> {
+    pub(crate) stop: AtomicBool,
+    pub(crate) done_count: AtomicUsize,
+    pub(crate) done: F,
 }
 
-impl Transport {
-    pub(crate) fn stats(&self) -> SimStats {
-        let sent = self.sent.load(Ordering::Relaxed);
-        let delivered = self.delivered.load(Ordering::Relaxed);
-        let dropped = self.dropped.load(Ordering::Relaxed);
-        let duplicated = self.duplicated.load(Ordering::Relaxed);
-        let corrupted = self.corrupted.load(Ordering::Relaxed);
-        let rejected = self.rejected.load(Ordering::Relaxed);
-        let expected = sent
-            .saturating_sub(dropped + corrupted)
-            .saturating_add(duplicated)
-            .saturating_sub(rejected);
-        SimStats {
-            messages_sent: sent,
-            messages_delivered: delivered,
-            messages_undelivered: expected.saturating_sub(delivered),
-            messages_dropped: dropped,
-            messages_duplicated: duplicated,
-            messages_corrupted: corrupted,
-            messages_rejected: rejected,
-            final_time: VirtualTime::ZERO,
-        }
+impl<F> Watch<F> {
+    pub(crate) fn new(done: F) -> Arc<Watch<F>> {
+        Arc::new(Watch { stop: AtomicBool::new(false), done_count: AtomicUsize::new(0), done })
     }
 }
 
@@ -193,9 +171,62 @@ pub(crate) fn join_and_classify<P: Process>(
     (nodes, incomplete)
 }
 
-enum Actor<P: Process> {
-    Honest(P),
-    Byzantine(Box<dyn Adversary<P::Message> + Send>),
+/// One node thread of the threaded and network runtimes: starts `actor`,
+/// then delivers from `inbox` until the watchdog stops the run or the
+/// inbox disconnects. Every send goes through `link`; each surviving
+/// message is handed to `deliver` with its decision, which moves the
+/// `decision.copies` copies toward their destination. Returns the final
+/// honest state (`None` for a Byzantine slot) and whether the inbox
+/// disconnected before the stop — starvation.
+pub(crate) fn node_loop<P, F>(
+    me: NodeId,
+    out: NodeSet,
+    mut actor: Actor<P>,
+    inbox: &Receiver<(NodeId, P::Message)>,
+    mut link: Link,
+    watch: &Watch<F>,
+    mut deliver: impl FnMut(NodeId, P::Message, LinkDecision),
+) -> (Option<P>, bool)
+where
+    P: Process,
+    F: Fn(&P) -> bool,
+{
+    let mut reported_done = false;
+    let mut settle = |actor: &Actor<P>, ctx: &mut Context<P::Message>, link: &mut Link| {
+        for (to, msg) in ctx.take_outbox() {
+            let decision = link.send(P::classify(&msg), me, to);
+            if decision.copies > 0 {
+                deliver(to, msg, decision);
+            }
+        }
+        if !reported_done && actor.honest().is_some_and(&watch.done) {
+            reported_done = true;
+            watch.done_count.fetch_add(1, Ordering::SeqCst);
+            link.stats().mark_done(me.index());
+        }
+    };
+
+    let mut ctx = Context::new(me, out);
+    actor.start(&mut ctx);
+    settle(&actor, &mut ctx, &mut link);
+
+    let mut starved = false;
+    while !watch.stop.load(Ordering::SeqCst) {
+        match inbox.recv_timeout(Duration::from_millis(1)) {
+            Ok((from, msg)) => {
+                link.delivered(P::classify(&msg), me);
+                let mut ctx = Context::new(me, out);
+                actor.deliver(&mut ctx, from, msg);
+                settle(&actor, &mut ctx, &mut link);
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                starved = !watch.stop.load(Ordering::SeqCst);
+                break;
+            }
+        }
+    }
+    (actor.into_honest(), starved)
 }
 
 /// A thread-per-node execution. Assign an actor to every node, then
@@ -204,7 +235,7 @@ pub struct Threaded<P: Process> {
     graph: Arc<Digraph>,
     actors: Vec<Option<Actor<P>>>,
     link_faults: Option<Arc<LinkFaultPlan>>,
-    registry: Option<Arc<StatsRegistry>>,
+    registry: Arc<StatsRegistry>,
 }
 
 impl<P> Threaded<P>
@@ -220,7 +251,7 @@ where
             graph,
             actors: (0..n).map(|_| None).collect(),
             link_faults: None,
-            registry: None,
+            registry: observed(StatsRegistry::new(n)),
         }
     }
 
@@ -246,15 +277,13 @@ where
         self
     }
 
-    /// Attaches a live stats registry: every node thread registers its
-    /// own shard and mirrors the send-interposer / delivery counters
-    /// into it (per message class via [`Process::classify`]), plus the
-    /// per-node queue and done gauges. Snapshots taken from other
-    /// threads while the run is live are safe and monotone.
+    /// Attaches a live stats registry in place of the run's private one:
+    /// every node thread registers its own shard and counts its sends and
+    /// deliveries in it (per message class via [`Process::classify`]),
+    /// plus the per-node queue and done gauges. Snapshots taken from
+    /// other threads while the run is live are safe and monotone.
     pub fn set_stats(&mut self, registry: Arc<StatsRegistry>) -> &mut Self {
-        registry.note_transport_observed();
-        registry.note_nodes_observed();
-        self.registry = Some(registry);
+        self.registry = observed(registry);
         self
     }
 
@@ -292,11 +321,7 @@ where
             receivers.push(Some(rx));
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let done_count = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(done);
-        let transport = Arc::new(Transport::default());
-
+        let watch = Watch::new(done);
         let mut handles = Vec::with_capacity(n);
         for (i, rx_slot) in receivers.iter_mut().enumerate() {
             let me = NodeId::new(i);
@@ -304,133 +329,40 @@ where
             let rx = rx_slot.take().expect("taken once");
             let graph = Arc::clone(&self.graph);
             let senders = senders.clone();
-            let stop = Arc::clone(&stop);
-            let done_count = Arc::clone(&done_count);
-            let done = Arc::clone(&done);
-            let transport = Arc::clone(&transport);
-            let plan = self.link_faults.clone();
-            let stats = self.registry.as_ref().map(|r| r.register());
+            let watch = Arc::clone(&watch);
+            let link = Link::new(self.link_faults.clone(), self.registry.register());
             let jitter = config.jitter_micros;
             let mut rng = SmallRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
 
             handles.push(std::thread::spawn(move || {
-                let mut actor = actor;
-                let mut reported_done = false;
-                // Edge (u, v) has exactly one sender, so this thread-local
-                // counter agrees with the simulator's global one.
-                let mut edge_counters = EdgeCounters::new();
-                let out = graph.out_neighbors(me);
-                let mut dispatch = |ctx: &mut Context<P::Message>, rng: &mut SmallRng| {
-                    for (to, msg) in ctx.take_outbox() {
-                        transport.sent.fetch_add(1, Ordering::Relaxed);
-                        let class = P::classify(&msg);
-                        if let Some(h) = &stats {
-                            h.record_sent(class);
+                let deliver = |to: NodeId, msg: P::Message, decision: LinkDecision| {
+                    let mut send = |msg: P::Message| {
+                        if jitter > 0 {
+                            std::thread::sleep(Duration::from_micros(rng.gen_range(0..jitter)));
                         }
-                        let decision = match plan.as_deref() {
-                            Some(p) => p.decide(me, to, edge_counters.next(me, to)),
-                            None => LinkDecision::CLEAN,
-                        };
-                        if decision.copies == 0 {
-                            let counter = if decision.corrupted {
-                                &transport.corrupted
-                            } else {
-                                &transport.dropped
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                if decision.corrupted {
-                                    h.record_corrupted(class);
-                                } else {
-                                    h.record_dropped(class);
-                                }
-                            }
-                            continue;
+                        if decision.extra_delay > 0 {
+                            std::thread::sleep(Duration::from_micros(decision.extra_delay));
                         }
-                        let deliver = |msg: P::Message, rng: &mut SmallRng| {
-                            if jitter > 0 {
-                                std::thread::sleep(Duration::from_micros(rng.gen_range(0..jitter)));
-                            }
-                            if decision.extra_delay > 0 {
-                                std::thread::sleep(Duration::from_micros(decision.extra_delay));
-                            }
-                            // Receiver may already have shut down; ignore.
-                            let _ = senders[to.index()].send((me, msg));
-                            if let Some(h) = &stats {
-                                h.record_enqueued(to.index());
-                            }
-                        };
-                        for _ in 1..decision.copies {
-                            transport.duplicated.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_duplicated(class);
-                            }
-                            deliver(msg.clone(), rng);
-                        }
-                        deliver(msg, rng);
+                        // Receiver may already have shut down; ignore.
+                        let _ = senders[to.index()].send((me, msg));
+                    };
+                    for _ in 1..decision.copies {
+                        send(msg.clone());
                     }
+                    send(msg);
                 };
-                let check_done = |actor: &Actor<P>, reported: &mut bool| {
-                    if !*reported {
-                        if let Actor::Honest(p) = actor {
-                            if done(p) {
-                                *reported = true;
-                                done_count.fetch_add(1, Ordering::SeqCst);
-                                if let Some(h) = &stats {
-                                    h.mark_done(me.index());
-                                }
-                            }
-                        }
-                    }
-                };
-
-                let mut ctx = Context::new(me, out);
-                match &mut actor {
-                    Actor::Honest(p) => p.on_start(&mut ctx),
-                    Actor::Byzantine(a) => a.on_start(&mut ctx),
-                }
-                dispatch(&mut ctx, &mut rng);
-                check_done(&actor, &mut reported_done);
-
-                let mut starved = false;
-                while !stop.load(Ordering::SeqCst) {
-                    match rx.recv_timeout(Duration::from_millis(1)) {
-                        Ok((from, msg)) => {
-                            transport.delivered.fetch_add(1, Ordering::Relaxed);
-                            if let Some(h) = &stats {
-                                h.record_delivered(P::classify(&msg));
-                                h.record_consumed(me.index());
-                            }
-                            let mut ctx = Context::new(me, out);
-                            match &mut actor {
-                                Actor::Honest(p) => p.on_message(&mut ctx, from, msg),
-                                Actor::Byzantine(a) => a.on_message(&mut ctx, from, msg),
-                            }
-                            dispatch(&mut ctx, &mut rng);
-                            check_done(&actor, &mut reported_done);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => {
-                            starved = !stop.load(Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                }
-                match actor {
-                    Actor::Honest(p) => (Some(p), starved),
-                    Actor::Byzantine(_) => (None, starved),
-                }
+                node_loop(me, graph.out_neighbors(me), actor, &rx, link, &watch, deliver)
             }));
         }
 
         // Watchdog: wait for completion or the deadline, then stop the
         // network — stragglers become per-node reports, never a run error.
-        await_completion(&done_count, honest_total, Instant::now() + config.timeout);
-        stop.store(true, Ordering::SeqCst);
+        await_completion(&watch.done_count, honest_total, Instant::now() + config.timeout);
+        watch.stop.store(true, Ordering::SeqCst);
         drop(senders);
 
-        let (nodes, incomplete) = join_and_classify(handles, &honest_slots, &*done);
-        Ok(ThreadedReport { nodes, incomplete, stats: transport.stats() })
+        let (nodes, incomplete) = join_and_classify(handles, &honest_slots, &watch.done);
+        Ok(ThreadedReport { nodes, incomplete, stats: self.registry.snapshot() })
     }
 }
 
@@ -477,8 +409,8 @@ mod tests {
             )
             .unwrap();
         assert!(report.incomplete.is_empty());
-        assert_eq!(report.stats.messages_sent, 12);
-        assert!(report.stats.messages_delivered >= 12, "every broadcast reaches its target");
+        assert_eq!(report.stats.messages_sent(), 12);
+        assert!(report.stats.messages_delivered() >= 12, "every broadcast reaches its target");
         for p in report.nodes.iter().flatten() {
             assert!(p.heard.len() >= 3);
         }
@@ -579,8 +511,8 @@ mod tests {
             vec![Incomplete { node: id(1), reason: IncompleteReason::Timeout }],
             "only the node behind the cut edge misses its quota"
         );
-        assert_eq!(report.stats.messages_dropped, 1);
-        assert_eq!(report.stats.messages_sent, 6);
+        assert_eq!(report.stats.messages_dropped(), 1);
+        assert_eq!(report.stats.messages_sent(), 6);
         let starved = report.nodes[1].as_ref().unwrap();
         assert_eq!(starved.heard.len(), 1, "node 2's message still arrives");
     }
@@ -603,7 +535,7 @@ mod tests {
             )
             .unwrap();
         assert!(report.incomplete.is_empty());
-        assert_eq!(report.stats.messages_duplicated, 1);
+        assert_eq!(report.stats.messages_duplicated(), 1);
         assert_eq!(report.nodes[1].as_ref().unwrap().heard, vec![7, 7]);
     }
 }
