@@ -18,6 +18,7 @@
 //! CI artifact).
 
 use dbac_baselines::{Aad04, IterativeTrimmedMean};
+use dbac_bench::json;
 use dbac_bench::table::{num, yes_no, Table};
 use dbac_conditions::kreach::three_reach;
 use dbac_conditions::robustness::is_r_s_robust;
@@ -29,7 +30,7 @@ fn main() {
     let report = e9_aad_comparison();
     e10_iterative_contrast();
     if let Some(path) = json_path() {
-        report.write_json(std::path::Path::new(&path)).expect("sweep JSON written");
+        std::fs::write(&path, format!("{}\n", json::reduced(&report))).expect("sweep JSON written");
         println!("reduced sweep report written to {path}");
     }
 }

@@ -13,9 +13,10 @@
 //! With `--json` the output is `{"experiment": "certify",
 //! "certificates": [...]}` where each entry embeds the full serialized
 //! [`RobustnessCertificate`](dbac_conditions::robustness::RobustnessCertificate)
-//! — the artifact CI uploads next to
+//! ([`dbac_bench::json::certificate`]) — the artifact CI uploads next to
 //! `net.json`/`stats.json`.
 
+use dbac_bench::json::{self, Value};
 use dbac_bench::table::Table;
 use dbac_conditions::robustness::{certification, verify_certificate, CertificationStatus};
 use dbac_graph::{generators, Digraph};
@@ -28,8 +29,8 @@ struct Row {
     s: usize,
     /// Rule name or "UNCERTIFIED".
     rule: String,
-    /// Certificate JSON, when one was issued.
-    cert_json: Option<String>,
+    /// The serialized certificate, when one was issued.
+    cert: Option<Value>,
     issue_ms: f64,
     verify_ms: f64,
 }
@@ -39,13 +40,13 @@ fn sweep(family: &str, g: &Digraph, grid: &[(usize, usize)], rows: &mut Vec<Row>
         let t = Instant::now();
         let status = certification(g, r, s);
         let issue_ms = t.elapsed().as_secs_f64() * 1e3;
-        let (rule, cert_json, verify_ms) = match &status {
+        let (rule, cert, verify_ms) = match &status {
             CertificationStatus::Certified(cert) => {
                 let t = Instant::now();
                 verify_certificate(g, cert).expect("issued certificate must verify");
                 (
                     cert.rule.name().to_string(),
-                    Some(cert.to_json()),
+                    Some(json::certificate(cert)),
                     t.elapsed().as_secs_f64() * 1e3,
                 )
             }
@@ -57,7 +58,7 @@ fn sweep(family: &str, g: &Digraph, grid: &[(usize, usize)], rows: &mut Vec<Row>
             r,
             s,
             rule,
-            cert_json,
+            cert,
             issue_ms,
             verify_ms,
         });
@@ -113,29 +114,29 @@ fn main() {
                 row.n == n && row.r == 1 && row.s == 1 && row.family.starts_with("circulant_pow2")
             })
             .expect("grid contains (1, 1)");
-        assert!(headline.cert_json.is_some(), "scaling topology must certify at (1, 1)");
+        assert!(headline.cert.is_some(), "scaling topology must certify at (1, 1)");
         assert!(headline.verify_ms < 1000.0, "verification must stay well under a second");
     }
 
     if json {
-        let entries: Vec<String> = rows
-            .iter()
-            .map(|row| {
-                let cert = row.cert_json.as_deref().unwrap_or("null");
-                format!(
-                    "    {{\"family\": \"{}\", \"n\": {}, \"r\": {}, \"s\": {}, \
-                     \"rule\": \"{}\", \"issue_ms\": {:.3}, \"verify_ms\": {:.3}, \
-                     \"certificate\": {}}}",
-                    row.family, row.n, row.r, row.s, row.rule, row.issue_ms, row.verify_ms, cert
-                )
-            })
-            .collect();
-        println!(
-            "{{\n  \"experiment\": \"certify\",\n  \"max_nodes\": {},\n  \
-             \"certificates\": [\n{}\n  ]\n}}",
-            dbac_graph::MAX_NODES,
-            entries.join(",\n")
-        );
+        let entries = rows.iter().map(|row| {
+            Value::object([
+                ("family", row.family.as_str().into()),
+                ("n", row.n.into()),
+                ("r", row.r.into()),
+                ("s", row.s.into()),
+                ("rule", row.rule.as_str().into()),
+                ("issue_ms", json::fixed(row.issue_ms, 3)),
+                ("verify_ms", json::fixed(row.verify_ms, 3)),
+                ("certificate", row.cert.clone().unwrap_or(Value::Null)),
+            ])
+        });
+        let doc = Value::object([
+            ("experiment", "certify".into()),
+            ("max_nodes", dbac_graph::MAX_NODES.into()),
+            ("certificates", Value::Array(entries.collect())),
+        ]);
+        println!("{doc}");
     } else {
         println!(
             "E13 — robustness certification sweep (rule or UNCERTIFIED per family × (r, s))\n"
@@ -152,7 +153,7 @@ fn main() {
             ]);
         }
         println!("{}", t.render());
-        let certified = rows.iter().filter(|row| row.cert_json.is_some()).count();
+        let certified = rows.iter().filter(|row| row.cert.is_some()).count();
         println!("{certified}/{} combinations certified", rows.len());
     }
 }

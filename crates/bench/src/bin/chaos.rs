@@ -12,6 +12,7 @@
 //! report as `bench_trend`-compatible JSON, uploaded as a CI artifact next
 //! to `sweep.json`).
 
+use dbac_bench::json;
 use dbac_bench::table::Table;
 use dbac_core::scenario::sweep::ExperimentPlan;
 use dbac_core::scenario::{ByzantineWitness, LinkFault, LinkFaultPlan};
@@ -90,7 +91,8 @@ fn main() {
     );
 
     if let Some(path) = json_path() {
-        reduced.write_json(std::path::Path::new(&path)).expect("chaos JSON written");
+        std::fs::write(&path, format!("{}\n", json::reduced(&reduced)))
+            .expect("chaos JSON written");
         println!("reduced chaos report written to {path}");
     }
 }

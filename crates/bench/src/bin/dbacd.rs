@@ -19,7 +19,8 @@
 //!
 //! Run: `cargo run --release -p dbac-bench --bin dbacd -- --smoke`
 
-use dbac_bench::daemon::{stats_json, Daemon};
+use dbac_bench::daemon::Daemon;
+use dbac_bench::json::{self, Value};
 use dbac_bench::trend::parse_registry_report;
 use dbac_core::scenario::{ByzantineWitness, Runtime, Scenario};
 use dbac_graph::generators;
@@ -69,8 +70,8 @@ fn smoke(json_path: Option<&str>) {
             assert!(sent >= last_sent, "{label}: sent regressed {last_sent} -> {sent}");
             last_sent = sent;
             polls += 1;
-            let progress = rpc(addr, "progress");
-            assert!(progress.contains("\"node_count\":4"), "{label}: {progress}");
+            let progress = json::parse(&rpc(addr, "progress")).expect("progress line parses");
+            assert_eq!(progress.get("node_count"), Some(&Value::Int(4)), "{label}: {progress}");
             if daemon.finished() {
                 break;
             }
@@ -91,7 +92,7 @@ fn smoke(json_path: Option<&str>) {
             out.sim_stats.protocol.rounds_fired,
         );
         if label == "sim" {
-            sim_stats_json = Some(stats_json(&out.sim_stats));
+            sim_stats_json = Some(json::registry(&out.sim_stats).to_string());
         }
     }
     if let Some(path) = json_path {

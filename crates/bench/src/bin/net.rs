@@ -13,6 +13,7 @@
 //! report as `bench_trend`-compatible JSON, uploaded as a CI artifact next
 //! to `sweep.json` and `chaos.json`.)
 
+use dbac_bench::json;
 use dbac_bench::table::Table;
 use dbac_core::scenario::sweep::ExperimentPlan;
 use dbac_core::scenario::{ByzantineWitness, Runtime};
@@ -72,7 +73,7 @@ fn main() {
     );
 
     if let Some(path) = json_path() {
-        reduced.write_json(std::path::Path::new(&path)).expect("net JSON written");
+        std::fs::write(&path, format!("{}\n", json::reduced(&reduced))).expect("net JSON written");
         println!("reduced net report written to {path}");
     }
 }

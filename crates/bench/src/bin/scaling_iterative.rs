@@ -20,6 +20,7 @@
 //! ```
 
 use dbac_baselines::IterativeTrimmedMean;
+use dbac_bench::json::{self, Value};
 use dbac_bench::table::Table;
 use dbac_conditions::robustness::{verify_certificate, CertificationStatus};
 use dbac_core::scenario::Scenario;
@@ -91,31 +92,25 @@ fn main() {
     }
 
     if json {
-        let rows: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"n\": {}, \"rounds\": {}, \"spread\": {:e}, \"converged\": {}, \
-                     \"messages\": {}, \"wall_ms\": {:.1}, \"cert\": \"{}\", \
-                     \"verify_ms\": {:.3}}}",
-                    p.n,
-                    p.rounds,
-                    p.spread,
-                    p.converged,
-                    p.messages,
-                    p.wall_ms,
-                    p.cert,
-                    p.verify_ms
-                )
-            })
-            .collect();
-        println!(
-            "{{\n  \"experiment\": \"scaling-iterative\",\n  \"max_nodes\": {},\n  \
-             \"epsilon\": {:e},\n  \"points\": [\n{}\n  ]\n}}",
-            dbac_graph::MAX_NODES,
-            epsilon,
-            rows.join(",\n")
-        );
+        let rows = points.iter().map(|p| {
+            Value::object([
+                ("n", p.n.into()),
+                ("rounds", p.rounds.into()),
+                ("spread", p.spread.into()),
+                ("converged", p.converged.into()),
+                ("messages", p.messages.into()),
+                ("wall_ms", json::fixed(p.wall_ms, 1)),
+                ("cert", p.cert.as_str().into()),
+                ("verify_ms", json::fixed(p.verify_ms, 3)),
+            ])
+        });
+        let doc = Value::object([
+            ("experiment", "scaling-iterative".into()),
+            ("max_nodes", dbac_graph::MAX_NODES.into()),
+            ("epsilon", epsilon.into()),
+            ("points", Value::Array(rows.collect())),
+        ]);
+        println!("{doc}");
     } else {
         println!("E12 — iterative W-MSR scaling (circulant-pow2, f = 0, ε = {epsilon:e})\n");
         let mut t = Table::new(vec![

@@ -13,7 +13,8 @@
 //! shutdown → {"ok":true}          (stops the RPC listener, not the run)
 //! ```
 //!
-//! The `stats` payload is exactly the registry-snapshot schema that
+//! Every reply is a [`crate::json::Value`]. The `stats` payload is
+//! exactly the registry-snapshot schema ([`crate::json::registry`]) that
 //! [`crate::trend::parse_registry_report`] reads and the bench-trend
 //! gate compares, so a `stats.json` captured from a live daemon can be
 //! diffed against a stored baseline with no translation step.
@@ -23,6 +24,7 @@
 //! its natural outcome, whose `sim_stats` is bit-for-bit the final
 //! registry snapshot.
 
+use crate::json::{self, Value};
 use dbac_core::error::RunError;
 use dbac_core::scenario::{Outcome, Scenario, StatsRegistry, StatsSnapshot};
 use std::io::{BufRead, BufReader, Write};
@@ -143,85 +145,50 @@ fn serve_client(
         let Ok(line) = line else { return };
         let reply = match line.trim() {
             "" => continue,
-            "stats" => stats_json(&registry.snapshot()),
-            "nodes" => nodes_json(&registry.snapshot()),
-            "progress" => progress_json(registry, finished.load(Ordering::Acquire)),
+            "stats" => json::registry(&registry.snapshot()),
+            "nodes" => nodes(&registry.snapshot()),
+            "progress" => progress(registry, finished.load(Ordering::Acquire)),
             "shutdown" => {
                 stop.store(true, Ordering::Release);
-                let _ = writer.write_all(b"{\"ok\":true}\n");
+                let _ = writeln!(writer, "{}", Value::object([("ok", true.into())]));
                 return;
             }
-            other => format!("{{\"error\":\"unknown command '{}'\"}}", escape(other)),
+            other => Value::object([("error", format!("unknown command '{other}'").into())]),
         };
-        if writer.write_all(reply.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
+        if writeln!(writer, "{reply}").is_err() {
             return;
         }
     }
 }
 
-fn escape(raw: &str) -> String {
-    raw.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            '\t' => vec!['\\', 't'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
+fn nodes(snapshot: &StatsSnapshot) -> Value {
+    let rows = snapshot.nodes.measured().map_or(Value::Null, |nodes| {
+        let rows = nodes.iter().enumerate().map(|(i, n)| {
+            Value::object([
+                ("node", i.into()),
+                ("enqueued", n.enqueued.into()),
+                ("consumed", n.consumed.into()),
+                ("queue_depth", n.queue_depth().into()),
+                ("done", n.done.into()),
+            ])
+        });
+        Value::Array(rows.collect())
+    });
+    Value::object([("nodes", rows)])
 }
 
-/// The `stats` RPC payload — also the `stats.json` artifact schema and
-/// the input to [`crate::trend::parse_registry_report`].
-#[must_use]
-pub fn stats_json(snapshot: &StatsSnapshot) -> String {
-    let body = snapshot
-        .to_kv()
-        .into_iter()
-        .map(|(k, v)| format!("\"{}\":{v}", escape(&k)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{{\"registry\":{{{body}}}}}")
-}
-
-fn nodes_json(snapshot: &StatsSnapshot) -> String {
-    match snapshot.nodes.measured() {
-        None => "{\"nodes\":null}".to_string(),
-        Some(nodes) => {
-            let rows = nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    format!(
-                        "{{\"node\":{i},\"enqueued\":{},\"consumed\":{},\
-                         \"queue_depth\":{},\"done\":{}}}",
-                        n.enqueued,
-                        n.consumed,
-                        n.queue_depth(),
-                        n.done
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{{\"nodes\":[{rows}]}}")
-        }
-    }
-}
-
-fn progress_json(registry: &StatsRegistry, finished: bool) -> String {
+fn progress(registry: &StatsRegistry, finished: bool) -> Value {
     let snap = registry.snapshot();
     let nodes_done =
         snap.nodes.measured().map_or(0, |nodes| nodes.iter().filter(|n| n.done).count());
-    format!(
-        "{{\"running\":{},\"node_count\":{},\"nodes_done\":{nodes_done},\
-         \"rounds_fired\":{},\"sent\":{},\"delivered\":{}}}",
-        !finished,
-        registry.node_count(),
-        snap.protocol.rounds_fired,
-        snap.messages_sent(),
-        snap.messages_delivered(),
-    )
+    Value::object([
+        ("running", (!finished).into()),
+        ("node_count", registry.node_count().into()),
+        ("nodes_done", nodes_done.into()),
+        ("rounds_fired", snap.protocol.rounds_fired.into()),
+        ("sent", snap.messages_sent().into()),
+        ("delivered", snap.messages_delivered().into()),
+    ])
 }
 
 #[cfg(test)]
@@ -261,14 +228,15 @@ mod tests {
         // totals are well-formed and the schema round-trips.
         assert!(report.contains_key("rounds_fired"), "schema carries protocol counters");
 
-        let progress = rpc(addr, "progress");
-        assert!(progress.starts_with("{\"running\":"), "progress replies: {progress}");
-        assert!(progress.contains("\"node_count\":4"));
+        let progress = json::parse(&rpc(addr, "progress")).expect("progress line parses");
+        assert!(matches!(progress.get("running"), Some(Value::Bool(_))), "{progress}");
+        assert_eq!(progress.get("node_count"), Some(&Value::Int(4)));
 
-        let nodes = rpc(addr, "nodes");
-        assert!(nodes.starts_with("{\"nodes\":"), "nodes replies: {nodes}");
+        let nodes = json::parse(&rpc(addr, "nodes")).expect("nodes line parses");
+        assert!(nodes.get("nodes").is_some(), "nodes replies: {nodes}");
 
-        assert!(rpc(addr, "bogus").contains("unknown command"));
+        let bogus = json::parse(&rpc(addr, "bogus")).expect("error line parses");
+        assert!(bogus.get("error").and_then(Value::as_str).unwrap().contains("unknown command"));
 
         let registry = Arc::clone(daemon.registry());
         let out = daemon.join().expect("smoke scenario converges");
@@ -276,8 +244,8 @@ mod tests {
         assert_eq!(registry.snapshot(), out.sim_stats, "registry is the outcome's ground truth");
 
         // The final stats payload parses into exactly the outcome's kv.
-        let final_report =
-            parse_registry_report(&stats_json(&out.sim_stats)).expect("final schema");
+        let final_report = parse_registry_report(&json::registry(&out.sim_stats).to_string())
+            .expect("final schema");
         let expected: Vec<(String, u64)> = out.sim_stats.to_kv();
         assert_eq!(final_report.len(), expected.len());
         for (k, v) in expected {
@@ -289,7 +257,8 @@ mod tests {
     fn client_shutdown_stops_the_listener_but_not_the_run() {
         let daemon = Daemon::spawn(smoke_scenario()).expect("daemon binds");
         let addr = daemon.addr();
-        assert_eq!(rpc(addr, "shutdown"), "{\"ok\":true}");
+        let ok = json::parse(&rpc(addr, "shutdown")).expect("shutdown line parses");
+        assert_eq!(ok, Value::object([("ok", true.into())]));
         let out = daemon.join().expect("run still completes");
         assert!(out.converged());
     }

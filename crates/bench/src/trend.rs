@@ -1,140 +1,41 @@
-//! The `bench_trend` report schema: a minimal JSON reader and the
-//! machine-speed-normalized gate comparison, shared by the `bench_trend`
-//! CI binary and the sweep round-trip tests.
+//! The `bench_trend` report schemas and the machine-speed-normalized gate
+//! comparison, shared by the `bench_trend` CI binary and the sweep
+//! round-trip tests.
 //!
-//! The workspace's serde shim has no JSON support (see shims/README.md),
-//! and the report format is fully under our control:
+//! Reading is a schema walk over [`crate::json::parse`]'s tree:
 //!
 //! ```text
 //! { "kernels": { "<name>": { "mean_ns": 1.0, ... }, ... } }
 //! ```
 //!
-//! [`parse_report`] handles exactly that shape — objects, string keys, and
-//! number values, with arbitrary whitespace; anything else is a hard
-//! error. Both the hot-path bench report and the scenario sweeps' raw and
-//! reduced reports (`SweepReport::to_bench_json`,
-//! `ReducedReport::to_bench_json` in `dbac_core::scenario::sweep`) emit
-//! this schema, so every artifact rides the same gate.
+//! [`parse_report`] accepts exactly that shape — a numeric `mean_ns` per
+//! kernel, every other field a number or `null` (the writer's rendering
+//! of a non-finite float); anything else is a hard error. The hot-path
+//! bench report (written by the criterion shim) and the scenario sweeps'
+//! raw and reduced reports ([`crate::json::sweep`],
+//! [`crate::json::reduced`]) all use this schema, so every artifact rides
+//! the same gate.
 
+use crate::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// Mean nanoseconds per kernel, keyed by benchmark name.
 pub type Report = BTreeMap<String, f64>;
 
-struct Json<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Json<'a> {
-    fn new(text: &'a str) -> Self {
-        Json { bytes: text.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
+/// The fields of the one top-level section `name` (an empty document
+/// `{}` has none).
+fn section(text: &str, name: &str) -> Result<Vec<(String, Value)>, String> {
+    let root = json::parse(text)?;
+    let top = root.as_object().ok_or("report is not a JSON object")?;
+    let mut fields = Vec::new();
+    for (key, value) in top {
+        if key != name {
+            return Err(format!("unexpected top-level key '{key}'"));
         }
+        let body = value.as_object().ok_or_else(|| format!("'{name}' is not an object"))?;
+        fields.extend_from_slice(body);
     }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        }
-                        other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                    }
-                }
-                other => out.push(other as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    /// Parses an object, calling `visit` per key (after which the cursor
-    /// must stand past the key's value).
-    fn object(
-        &mut self,
-        visit: &mut dyn FnMut(&mut Json<'a>, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            visit(self, &key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
+    Ok(fields)
 }
 
 /// Extracts `name → mean_ns` from a bench report.
@@ -145,25 +46,20 @@ impl<'a> Json<'a> {
 /// non-numeric fields, a kernel without `mean_ns`, malformed JSON).
 pub fn parse_report(text: &str) -> Result<Report, String> {
     let mut report = Report::new();
-    let mut json = Json::new(text);
-    json.object(&mut |j, key| {
-        if key != "kernels" {
-            return Err(format!("unexpected top-level key '{key}'"));
+    for (kernel, fields) in section(text, "kernels")? {
+        let fields =
+            fields.as_object().ok_or_else(|| format!("kernel '{kernel}' is not an object"))?;
+        let mut mean = None;
+        for (field, value) in fields {
+            match (value, field.as_str()) {
+                (Value::Int(_) | Value::Float(_), "mean_ns") => mean = value.as_f64(),
+                (Value::Int(_) | Value::Float(_), _) | (Value::Null, _) => {}
+                _ => return Err(format!("kernel '{kernel}' field '{field}' is not a number")),
+            }
         }
-        j.object(&mut |j, kernel| {
-            let mut mean = None;
-            j.object(&mut |j, field| {
-                let value = j.number()?;
-                if field == "mean_ns" {
-                    mean = Some(value);
-                }
-                Ok(())
-            })?;
-            let mean = mean.ok_or_else(|| format!("kernel '{kernel}' lacks mean_ns"))?;
-            report.insert(kernel.to_string(), mean);
-            Ok(())
-        })
-    })?;
+        let mean = mean.ok_or_else(|| format!("kernel '{kernel}' lacks mean_ns"))?;
+        report.insert(kernel, mean);
+    }
     Ok(report)
 }
 
@@ -187,20 +83,17 @@ pub type RegistryReport = BTreeMap<String, u64>;
 /// fractional counters, malformed JSON).
 pub fn parse_registry_report(text: &str) -> Result<RegistryReport, String> {
     let mut report = RegistryReport::new();
-    let mut json = Json::new(text);
-    json.object(&mut |j, key| {
-        if key != "registry" {
-            return Err(format!("unexpected top-level key '{key}'"));
-        }
-        j.object(&mut |j, counter| {
-            let value = j.number()?;
-            if value < 0.0 || value.fract() != 0.0 || value > u64::MAX as f64 {
-                return Err(format!("counter '{counter}' is not a u64: {value}"));
+    for (counter, value) in section(text, "registry")? {
+        let total = match value {
+            Value::Int(i) => u64::try_from(i).ok(),
+            Value::Float(x) if x >= 0.0 && x.fract() == 0.0 && x <= u64::MAX as f64 => {
+                Some(x as u64)
             }
-            report.insert(counter.to_string(), value as u64);
-            Ok(())
-        })
-    })?;
+            _ => None,
+        };
+        let total = total.ok_or_else(|| format!("counter '{counter}' is not a u64: {value}"))?;
+        report.insert(counter, total);
+    }
     Ok(report)
 }
 
@@ -322,6 +215,17 @@ mod tests {
         assert!(parse_report(r#"{"kernels": {"a": {"mean": 1}}}"#).is_err());
         assert!(parse_report(r#"{"other": {}}"#).is_err());
         assert!(parse_report(r#"{"kernels": {}}"#).unwrap().is_empty());
+        assert!(parse_report(r#"{"kernels": {"a": {"mean_ns": 1, "note": "x"}}}"#).is_err());
+        assert!(parse_report(r#"{"kernels": {"a": {"mean_ns": null}}}"#).is_err());
+    }
+
+    #[test]
+    fn keeps_non_ascii_names_and_admits_null_fields() {
+        // `null` is how the writer renders a non-finite float; only
+        // `mean_ns` must be a number.
+        let report =
+            parse_report(r#"{"kernels": {"eps=ε": {"mean_ns": 2.5, "spread": null}}}"#).unwrap();
+        assert_eq!(report.into_iter().collect::<Vec<_>>(), [("eps=ε".to_string(), 2.5)]);
     }
 
     fn report(entries: &[(&str, f64)]) -> Report {

@@ -3,7 +3,7 @@
 //! round-trips through the `bench_trend` gate parser and comparison, the
 //! exact pipeline CI's `sweep.json` artifact rides.
 
-use dbac_bench::trend;
+use dbac_bench::{json, trend};
 use dbac_core::scenario::sweep::{ExperimentPlan, SchedulerFamily};
 use dbac_core::scenario::{ByzantineWitness, Runtime};
 use dbac_graph::generators;
@@ -43,8 +43,8 @@ fn full_dimensional_sweep_round_trips_through_the_gate() {
     assert!(reduced.get("bw/K4/f0/none/eps0.5/rand/threaded").is_some());
 
     // The reduced JSON round-trips through the gate's parser…
-    let json = reduced.to_bench_json();
-    let parsed = trend::parse_report(&json).expect("gate parser accepts the reduced report");
+    let text = json::reduced(&reduced).to_string();
+    let parsed = trend::parse_report(&text).expect("gate parser accepts the reduced report");
     assert_eq!(parsed.len(), 8);
     assert!(parsed.values().all(|&ns| ns > 0.0));
     for cell in &reduced.cells {
@@ -64,7 +64,7 @@ fn raw_per_cell_report_also_parses() {
         .build()
         .expect("plan expands")
         .run();
-    let parsed = trend::parse_report(&report.to_bench_json()).expect("raw report parses");
+    let parsed = trend::parse_report(&json::sweep(&report).to_string()).expect("raw report parses");
     assert_eq!(parsed.len(), 2);
     assert!(parsed.contains_key("bw/K4/f0/none/s3"));
 }

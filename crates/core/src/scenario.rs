@@ -25,8 +25,9 @@
 //! labelled axes over every knob here (protocols, graphs, fault bounds,
 //! placements, inputs, ε, scheduler families, runtimes, rounds), expanded
 //! into a cartesian cell product, run in parallel, and reduced over the
-//! seed batch into distributional statistics with `bench_trend`-compatible
-//! JSON reports.
+//! seed batch into distributional statistics. This crate writes no JSON:
+//! `dbac_bench::json` renders the raw and reduced reports in the
+//! `bench_trend` schema.
 //!
 //! # Protocols and where they come from in the paper
 //!
@@ -102,8 +103,9 @@
 //! an experiment. `IterativeTrimmedMean` attaches the status to
 //! [`Outcome::certification`]; sweep plans label graph-axis points with
 //! it via [`sweep::ExperimentPlan::certify_graphs`]; the `certify` bin
-//! sweeps the generator families and emits the certificate JSON that CI
-//! archives next to `net.json`/`stats.json`.
+//! sweeps the generator families and emits the certificate JSON
+//! (`dbac_bench::json::certificate`) that CI archives next to
+//! `net.json`/`stats.json`.
 //!
 //! # Inject link faults
 //!

@@ -1,6 +1,5 @@
 //! Dimensional experiment plans: every [`Scenario`] knob as a sweep axis,
-//! with seed-batch statistical reduction and `bench_trend`-compatible
-//! JSON emission.
+//! with seed-batch statistical reduction.
 //!
 //! An [`ExperimentPlan`] is a pure *grid description*: each dimension is a
 //! typed [`Axis`] of labelled points — protocols (including per-protocol
@@ -23,11 +22,11 @@
 //! On top of the raw per-cell report, [`SweepReport::reduce`] groups cells
 //! by *all axes except the seed* and emits distributional statistics
 //! ([`Stats`]: mean/median/min/max/stddev) of spread, rounds-to-ε, message
-//! counts and wall time per group. Both the raw and the reduced reports
-//! render as the same `{"kernels": {<label>: {"mean_ns": …}}}` JSON shape
-//! the `bench_trend` CI gate consumes, so sweep statistics ride the
-//! existing bench artifact pipeline unchanged (CI uploads the *reduced*
-//! report).
+//! counts and wall time per group. `dbac_bench::json::{sweep, reduced}`
+//! render both reports as the `{"kernels": {<label>: {"mean_ns": …}}}`
+//! JSON shape the `bench_trend` CI gate consumes, so sweep statistics ride
+//! the existing bench artifact pipeline unchanged (CI uploads the
+//! *reduced* report).
 //!
 //! ```
 //! use dbac_core::scenario::sweep::ExperimentPlan;
@@ -922,37 +921,13 @@ impl CellRow {
     }
 }
 
-/// The raw per-cell results of a sweep, renderable as `bench_trend` JSON
-/// and reducible into seed-batch statistics.
+/// The raw per-cell results of a sweep, reducible into seed-batch
+/// statistics (`dbac_bench::json::sweep` renders it as `bench_trend`
+/// JSON).
 #[derive(Clone, Debug)]
 pub struct SweepReport {
     /// Rows in cell order.
     pub rows: Vec<CellRow>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A finite numeric JSON literal (exponent form; non-finite values render
-/// as 0 so the report always parses).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "0".into()
-    }
 }
 
 impl SweepReport {
@@ -1009,56 +984,6 @@ impl SweepReport {
             })
             .collect();
         ReducedReport { cells }
-    }
-
-    /// Renders the raw report in the `bench_trend` schema: each cell
-    /// becomes a kernel keyed by its label, `mean_ns` carrying the wall
-    /// time, the digest flattened into extra numeric fields (which the
-    /// gate's parser accepts and ignores), and rejected cells flagged with
-    /// `"error": 1`.
-    #[must_use]
-    pub fn to_bench_json(&self) -> String {
-        let mut out = String::from("{\n  \"kernels\": {\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let sep = if i + 1 == self.rows.len() { "" } else { "," };
-            match &row.summary {
-                Ok(s) => {
-                    let flag = |b: bool| u8::from(b);
-                    out.push_str(&format!(
-                        "    \"{}\": {{ \"mean_ns\": {:.1}, \"converged\": {}, \"valid\": {}, \
-                         \"decided\": {}, \"spread\": {}, \"messages\": {}, \"dropped\": {}, \
-                         \"rounds\": {} }}{sep}\n",
-                        json_escape(&row.label),
-                        row.wall_ns,
-                        flag(s.converged),
-                        flag(s.valid),
-                        flag(s.all_decided),
-                        jnum(s.spread),
-                        s.messages(),
-                        s.messages_dropped,
-                        s.rounds,
-                    ));
-                }
-                Err(_) => {
-                    out.push_str(&format!(
-                        "    \"{}\": {{ \"mean_ns\": {:.1}, \"error\": 1 }}{sep}\n",
-                        json_escape(&row.label),
-                        row.wall_ns,
-                    ));
-                }
-            }
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// Writes [`SweepReport::to_bench_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures creating or writing the file.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bench_json())
     }
 }
 
@@ -1155,53 +1080,6 @@ impl ReducedReport {
     pub fn get(&self, group: &str) -> Option<&ReducedCell> {
         self.cells.iter().find(|c| c.group == group)
     }
-
-    /// Renders the reduced report in the `bench_trend` schema: each group
-    /// becomes a kernel keyed by the group label, `mean_ns` carrying the
-    /// mean wall time over the seed batch, with the distributional fields
-    /// flattened to extra numbers the gate's parser accepts and ignores.
-    #[must_use]
-    pub fn to_bench_json(&self) -> String {
-        let mut out = String::from("{\n  \"kernels\": {\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    \"{}\": {{ \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
-                 \"stddev_ns\": {:.1}, \"runs\": {}, \"errors\": {}, \"converged\": {}, \
-                 \"valid\": {}, \"decided\": {}, \"spread_mean\": {}, \"spread_median\": {}, \
-                 \"spread_max\": {}, \"rounds_to_eps_mean\": {}, \"messages_mean\": {:.1}, \
-                 \"messages_max\": {:.1}, \"dropped_mean\": {:.1} }}{sep}\n",
-                json_escape(&c.group),
-                c.wall_ns.mean,
-                c.wall_ns.min,
-                c.wall_ns.max,
-                c.wall_ns.stddev,
-                c.runs,
-                c.errors,
-                c.converged,
-                c.valid,
-                c.all_decided,
-                jnum(c.spread.mean),
-                jnum(c.spread.median),
-                jnum(c.spread.max),
-                jnum(c.rounds_to_epsilon.mean),
-                c.messages.mean,
-                c.messages.max,
-                c.dropped.mean,
-            ));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// Writes [`ReducedReport::to_bench_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures creating or writing the file.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bench_json())
-    }
 }
 
 #[cfg(test)]
@@ -1273,85 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_runs_reduces_and_reports_bench_json() {
-        let report = ExperimentPlan::new()
-            .protocol("bw", ByzantineWitness::default())
-            .graph("k4", generators::clique(4))
-            .fault_bound(1)
-            .placement("liar", |g, _| {
-                vec![(NodeId::new(g.node_count() - 1), FaultKind::ConstantLiar { value: 1e6 })]
-            })
-            .seeds([7, 8])
-            .build()
-            .unwrap()
-            .run();
-        assert_eq!(report.rows.len(), 2);
-        assert!(report.failures().is_empty());
-        let row = report.get("bw/k4/f1/liar/s7").expect("labelled row");
-        let summary = row.summary.as_ref().unwrap();
-        assert!(summary.converged && summary.valid, "{summary:?}");
-        assert!(summary.rounds_to_epsilon.is_some());
-        assert!(row.wall_ns > 0.0);
-
-        let raw = report.to_bench_json();
-        assert!(raw.contains("\"bw/k4/f1/liar/s7\""));
-        assert!(raw.contains("\"bw/k4/f1/liar/s8\""));
-        assert!(raw.contains("\"converged\": 1"));
-
-        let reduced = report.reduce();
-        assert_eq!(reduced.cells.len(), 1);
-        let cell = reduced.get("bw/k4/f1/liar").expect("group key drops the seed");
-        assert_eq!(cell.seeds, vec![7, 8]);
-        assert_eq!((cell.runs, cell.errors), (2, 0));
-        assert_eq!((cell.converged, cell.valid, cell.all_decided), (2, 2, 2));
-        assert_eq!(cell.wall_ns.n, 2);
-        assert!(cell.wall_ns.mean > 0.0);
-        assert!(cell.spread.max < 0.5);
-        let json = reduced.to_bench_json();
-        assert!(json.contains("\"kernels\""));
-        assert!(json.contains("\"bw/k4/f1/liar\""));
-        assert!(json.contains("\"mean_ns\""));
-        assert!(json.contains("\"stddev_ns\""));
-        assert!(json.contains("\"runs\": 2"));
-    }
-
-    #[test]
-    fn invalid_cells_become_error_rows_without_poisoning_siblings() {
-        // A placement naming a node outside K3 rejects that cell at build;
-        // the K4 sibling still runs to convergence.
-        let sweep = ExperimentPlan::new()
-            .protocol("bw", ByzantineWitness::default())
-            .graph("k3", generators::clique(3))
-            .graph("k4", generators::clique(4))
-            .faults("oob", vec![(NodeId::new(3), FaultKind::Crash)])
-            .build()
-            .unwrap();
-        assert_eq!(sweep.cell_count(), 2);
-        let bad = &sweep.cells()[0];
-        assert_eq!(bad.error(), Some(&RunError::FaultOutsideGraph { node: 3, nodes: 3 }));
-        assert!(bad.scenario().is_none());
-
-        let report = sweep.run();
-        let failures = report.failures();
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].label, "bw/k3/f1/oob/s0");
-        assert_eq!(
-            failures[0].summary.as_ref().unwrap_err(),
-            &RunError::FaultOutsideGraph { node: 3, nodes: 3 }
-        );
-        let ok = report.get("bw/k4/f1/oob/s0").unwrap();
-        assert!(ok.summary.as_ref().unwrap().converged);
-
-        // The raw JSON flags the error row; the reduced report counts it.
-        assert!(report.to_bench_json().contains("\"error\": 1"));
-        let reduced = report.reduce();
-        assert_eq!(reduced.cells.len(), 2);
-        let bad = reduced.get("bw/k3/f1/oob").unwrap();
-        assert_eq!((bad.runs, bad.errors), (1, 1));
-        assert_eq!(bad.wall_ns.n, 0);
-    }
-
-    #[test]
     fn input_spec_generates_values_and_ranges() {
         let g = generators::clique(4);
         assert_eq!(InputSpec::indexed().values(&g), vec![0.0, 1.0, 2.0, 3.0]);
@@ -1419,44 +1218,6 @@ mod tests {
     }
 
     #[test]
-    fn link_fault_axis_labels_cells_and_counts_drops() {
-        let report = ExperimentPlan::new()
-            .protocol("bw", ByzantineWitness::default())
-            .graph("k4", generators::clique(4))
-            .fault_bound(0)
-            .link_faults("clean", |_, _| None)
-            .link_faults("lossy", |g: &Digraph, seed| {
-                let mut plan = LinkFaultPlan::new(seed);
-                for (from, to) in g.edges() {
-                    plan = plan.fault(from, to, super::super::LinkFault::Drop { prob: 0.2 });
-                }
-                Some(plan)
-            })
-            .seeds([3, 4])
-            .build()
-            .unwrap()
-            .run();
-        assert_eq!(report.rows.len(), 4);
-        assert!(report.failures().is_empty(), "{:?}", report.failures());
-
-        let clean = report.get("bw/k4/f0/none/clean/s3").expect("clean cell labelled");
-        assert_eq!(clean.coord("links"), Some("clean"));
-        assert_eq!(clean.summary.as_ref().unwrap().messages_dropped, 0);
-
-        let lossy = report.get("bw/k4/f0/none/lossy/s3").expect("lossy cell labelled");
-        assert!(lossy.summary.as_ref().unwrap().messages_dropped > 0);
-
-        // The drop counts ride both JSON schemas and the reducer.
-        assert!(report.to_bench_json().contains("\"dropped\":"));
-        let reduced = report.reduce();
-        let group = reduced.get("bw/k4/f0/none/lossy").expect("group drops the seed");
-        assert_eq!(group.dropped.n, 2);
-        assert!(group.dropped.mean > 0.0);
-        assert_eq!(reduced.get("bw/k4/f0/none/clean").unwrap().dropped.max, 0.0);
-        assert!(reduced.to_bench_json().contains("\"dropped_mean\":"));
-    }
-
-    #[test]
     fn stats_of_known_batch() {
         let s = Stats::of([4.0, 1.0, 3.0, 2.0]);
         assert_eq!(s.n, 4);
@@ -1469,13 +1230,6 @@ mod tests {
         let empty = Stats::of([f64::NAN, f64::INFINITY]);
         assert_eq!(empty.n, 0);
         assert_eq!(empty.mean, 0.0);
-    }
-
-    #[test]
-    fn json_escaping_and_literals() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(jnum(f64::NAN), "0");
-        assert_eq!(jnum(0.5), "5e-1");
     }
 
     #[test]

@@ -40,6 +40,7 @@ proptest! {
     /// Set algebra (union / intersection / difference / complement) and the
     /// relational predicates must match the u128 oracle for every pair of
     /// subsets of the shared `n <= 128` domain.
+    #[test]
     fn algebra_matches_the_u128_oracle(
         a in proptest::collection::vec(0usize..128, 0..40),
         b in proptest::collection::vec(0usize..128, 0..40),
@@ -64,6 +65,7 @@ proptest! {
     /// with identical membership. Each op packs kind and index into one
     /// integer (the proptest shim has no tuple or bool strategies):
     /// `op < 128` inserts node `op`, otherwise removes node `op - 128`.
+    #[test]
     fn mutation_sequences_match_the_u128_oracle(
         ops in proptest::collection::vec(0usize..256, 0..96),
     ) {

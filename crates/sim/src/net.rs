@@ -215,9 +215,6 @@ where
 
             handles.push(std::thread::spawn(move || {
                 let deliver = |to: NodeId, msg: P::Message, decision: LinkDecision| {
-                    if decision.extra_delay > 0 {
-                        std::thread::sleep(Duration::from_micros(decision.extra_delay));
-                    }
                     let body = msg.to_bytes();
                     let writer = writers[to.index()].as_mut().expect("edge has a connection");
                     for _ in 0..decision.copies {

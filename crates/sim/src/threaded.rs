@@ -19,8 +19,8 @@
 //!   per-edge message index, and the run's stats registry counts it, so
 //!   the fate of the k-th message on an edge is identical in both
 //!   runtimes. The node loop (`node_loop`) is shared with the network
-//!   runtime; only the delivery step (jitter, then a channel send)
-//!   belongs to this one.
+//!   runtime; only the delivery step (jitter and a channel send per
+//!   copy) belongs to this one.
 
 use crate::chaos::{LinkDecision, LinkFaultPlan};
 use crate::error::SimError;
@@ -174,7 +174,9 @@ pub(crate) fn join_and_classify<P: Process>(
 /// One node thread of the threaded and network runtimes: starts `actor`,
 /// then delivers from `inbox` until the watchdog stops the run or the
 /// inbox disconnects. Every send goes through `link`; each surviving
-/// message is handed to `deliver` with its decision, which moves the
+/// message is first held back by its `Reorder` delay (once per message,
+/// however many copies survive — a sleep in this node's own thread), then
+/// handed to `deliver` with its decision, which moves the
 /// `decision.copies` copies toward their destination. Returns the final
 /// honest state (`None` for a Byzantine slot) and whether the inbox
 /// disconnected before the stop — starvation.
@@ -196,6 +198,9 @@ where
         for (to, msg) in ctx.take_outbox() {
             let decision = link.send(P::classify(&msg), me, to);
             if decision.copies > 0 {
+                if decision.extra_delay > 0 {
+                    std::thread::sleep(Duration::from_micros(decision.extra_delay));
+                }
                 deliver(to, msg, decision);
             }
         }
@@ -339,9 +344,6 @@ where
                     let mut send = |msg: P::Message| {
                         if jitter > 0 {
                             std::thread::sleep(Duration::from_micros(rng.gen_range(0..jitter)));
-                        }
-                        if decision.extra_delay > 0 {
-                            std::thread::sleep(Duration::from_micros(decision.extra_delay));
                         }
                         // Receiver may already have shut down; ignore.
                         let _ = senders[to.index()].send((me, msg));
